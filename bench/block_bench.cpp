@@ -1,23 +1,23 @@
-// Struct-of-arrays block pipeline vs scalar per-candidate pipeline (the
-// PR-8 perf anchor).
+// Struct-of-arrays block pipeline budget (the packed-pipeline perf anchor).
 //
-// Runs the same traffic two ways through the exploration service:
-//
-//   scalar   blockSpecs = 0: the per-candidate path — one peek, one scalar
-//            lower bound, one evaluation at a time, pointer-rich specs.
-//   block    blockSpecs = 64: enumerated lists packed once into contiguous
-//            struct-of-arrays buffers (stt::SpecBlockSet); bounds run as
-//            packed loops over whole blocks, dominance cuts land before any
-//            tile search, and survivors share one tile search per mapping
-//            class through a BlockMappingStore.
+// Times the exploration service's only evaluation path: enumerated lists
+// packed once into contiguous struct-of-arrays buffers (stt::SpecBlockSet);
+// bounds run as packed loops over 64-candidate windows, dominance cuts
+// land before any tile search, and survivors share one tile search per
+// mapping class through a BlockMappingStore.
 //
 // Scenario: the batched 10-query overlapping service scenario (GEMM-256
 // under ASIC+FPGA objectives, attention, duplicate traffic), cold on a
-// fresh service per side with the process-wide candidate memo cleared, so
-// both sides pay enumeration honestly. Gate: block >= 2x (full mode only).
+// fresh service with the process-wide candidate memo cleared, so the run
+// pays enumeration honestly. Gate (full mode only): the cold batch within
+// kGateMaxBatchedMs. The gate used to be >= 2x against the scalar
+// per-candidate loop, which no longer exists; the budget is that loop's
+// committed time (2283.57 ms) divided by the old 2x.
 //
-// Bit-identity is asserted every run, gates or not: block frontiers at 1
-// and 8 worker threads, cold and warm, must equal the scalar frontiers.
+// Bit-identity is asserted every run, gates or not: frontiers at 1 and 8
+// worker threads, cold and warm, must equal the first cold run's. The
+// packed models themselves are pinned to the scalar oracle by
+// tests/block_eval_test.cpp.
 //
 // Merges a "block" section into BENCH_hotpaths.json next to the earlier
 // gates.
@@ -46,61 +46,46 @@ double msSince(Clock::time_point start) {
   return std::chrono::duration<double, std::milli>(Clock::now() - start).count();
 }
 
-constexpr double kGateMinBatched = 2.0;
-constexpr std::size_t kBlockSpecs = 64;
+constexpr double kGateMaxBatchedMs = 1141.0;
 
-driver::ServiceOptions pipelineOptions(std::size_t blockSpecs,
-                                       std::size_t threads = 0) {
+driver::ServiceOptions threadOptions(std::size_t threads) {
   driver::ServiceOptions o;
   o.threads = threads;
-  o.blockSpecs = blockSpecs;
   return o;
 }
 
 struct BlockReport {
   std::size_t batchDesigns = 0;  ///< design points across the batch
-  double scalarColdMs = 0, blockColdMs = 0, blockWarmMs = 0;
-  std::uint64_t pruned = 0;  ///< block-side dominance cuts, cold batch
-  double coldSpeedup() const { return scalarColdMs / blockColdMs; }
+  double blockColdMs = 0, blockWarmMs = 0;
+  std::uint64_t pruned = 0;  ///< dominance cuts, cold batch
 };
 
 BlockReport benchBlock(int maxEntry) {
   BlockReport r;
   const auto batch = bench::serviceScenarioBatch(maxEntry);
 
-  // --- scalar side, cold: fresh service, cold candidate memo.
-  std::vector<driver::QueryResult> scalarB;
+  // --- cold + warm rerun on the same service.
+  std::vector<driver::QueryResult> cold, warm;
   {
     stt::clearCandidateCache();
-    driver::ExplorationService service(pipelineOptions(0));
+    driver::ExplorationService service;
     const auto t = Clock::now();
-    scalarB = service.runBatch(batch);
-    r.scalarColdMs = msSince(t);
-  }
-
-  // --- block side, cold + warm rerun on the same service.
-  std::vector<driver::QueryResult> blockB, blockWarm;
-  {
-    stt::clearCandidateCache();
-    driver::ExplorationService service(pipelineOptions(kBlockSpecs));
-    const auto t = Clock::now();
-    blockB = service.runBatch(batch);
+    cold = service.runBatch(batch);
     r.blockColdMs = msSince(t);
     const auto w = Clock::now();
-    blockWarm = service.runBatch(batch);
+    warm = service.runBatch(batch);
     r.blockWarmMs = msSince(w);
   }
-  bench::checkSameResults(scalarB, blockB);
-  bench::checkSameResults(scalarB, blockWarm);
-  for (const auto& res : blockB) {
+  bench::checkSameResults(cold, warm);
+  for (const auto& res : cold) {
     r.batchDesigns += res.designs;
     r.pruned += res.cache.pruned;
   }
 
   // --- thread-count bit-identity: 1 and 8 workers, cold services.
   for (const std::size_t threads : {std::size_t{1}, std::size_t{8}}) {
-    driver::ExplorationService service(pipelineOptions(kBlockSpecs, threads));
-    bench::checkSameResults(scalarB, service.runBatch(batch));
+    driver::ExplorationService service(threadOptions(threads));
+    bench::checkSameResults(cold, service.runBatch(batch));
   }
   return r;
 }
@@ -121,33 +106,30 @@ int main(int argc, char** argv) {
 
   try {
     bench::printHeader(smoke ? "Block evaluation (smoke)"
-                             : "Block vs scalar evaluation pipeline");
+                             : "Block evaluation pipeline budget");
     const BlockReport r = benchBlock(smoke ? 1 : 2);
     std::printf(
-        "  batched  scalar %.1f ms | block %.1f ms (%.2fx) | warm rerun %.1f "
-        "ms  [%zu design evals, %llu cut, frontiers bit-identical at 1+8 "
+        "  batched  block %.1f ms (budget %.0f ms) | warm rerun %.1f ms  "
+        "[%zu design evals, %llu cut, frontiers bit-identical at 1+8 "
         "threads]\n",
-        r.scalarColdMs, r.blockColdMs, r.coldSpeedup(), r.blockWarmMs,
-        r.batchDesigns, static_cast<unsigned long long>(r.pruned));
+        r.blockColdMs, kGateMaxBatchedMs, r.blockWarmMs, r.batchDesigns,
+        static_cast<unsigned long long>(r.pruned));
 
-    const bool pass = smoke || r.coldSpeedup() >= kGateMinBatched;
+    const bool pass = smoke || r.blockColdMs <= kGateMaxBatchedMs;
     std::ostringstream line;
     line << "\"block\": {\"workloads\": \"gemm256+attention64\", "
-         << "\"block_specs\": " << kBlockSpecs
-         << ", \"batch_design_evals\": " << r.batchDesigns
-         << ", \"batched_scalar_ms\": " << r.scalarColdMs
+         << "\"batch_design_evals\": " << r.batchDesigns
          << ", \"batched_block_ms\": " << r.blockColdMs
-         << ", \"batched_speedup\": " << r.coldSpeedup()
          << ", \"block_warm_ms\": " << r.blockWarmMs
          << ", \"pruned_batched\": " << r.pruned
-         << ", \"gate_min_batched_speedup\": " << kGateMinBatched
+         << ", \"gate_max_batched_block_ms\": " << kGateMaxBatchedMs
          << ", \"pass\": " << (pass ? "true" : "false") << "}";
     bench::mergeJsonSection(out, "block", line.str());
     std::printf("  merged into %s\n", out.c_str());
 
     if (!pass)
-      std::printf("  GATE FAIL: batched block speedup %.2f < %.1f\n",
-                  r.coldSpeedup(), kGateMinBatched);
+      std::printf("  GATE FAIL: batched block %.1f ms > %.0f ms budget\n",
+                  r.blockColdMs, kGateMaxBatchedMs);
     return pass ? 0 : 1;
   } catch (const tensorlib::Error& e) {
     std::fprintf(stderr, "error: %s\n", e.what());

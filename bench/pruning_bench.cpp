@@ -1,27 +1,28 @@
-// Frontier-pruned vs exhaustive evaluation benchmark (the PR-4 perf anchor).
+// Frontier-pruned vs exhaustive evaluation benchmark (the pruning perf
+// anchor).
 //
-// Runs the same traffic two ways through the exploration service:
+// Runs the same traffic two ways through the exploration service's packed
+// evaluation path:
 //
-//   exhaustive  PR-3 pipeline shape: every enumerated design point fully
-//               evaluated (pruning off, tile-mapping memo off).
+//   exhaustive  every enumerated design point fully evaluated (pruning
+//               off).
 //   pruned      the frontier-aware pipeline: lower-bound dominance cuts
-//               skip evaluations the incumbent frontier already dominates,
-//               and the service's mapping memo collapses sign-relative
-//               transforms onto one tile search.
+//               skip evaluations the incumbent frontier already dominates.
 //
 // Two scenarios, both asserted bit-identical between the two pipelines:
 //
 //   single   one cold GEMM-256 query on a fresh service (gate: >= 1.5x).
 //   batched  the 10-query overlapping service scenario from the "service"
 //            bench — GEMM under ASIC+FPGA objectives, attention, duplicate
-//            traffic (gate: >= 2x).
+//            traffic (gate: pruned batch within kGateMaxBatchedPrunedMs).
 //
-// Both sides pin blockSpecs=0: this bench isolates the SCALAR path's
-// dominance cut and mapping memo, which the packed block pipeline (the
-// default since blockSpecs flipped to 64) subsumes differently — block-path
-// pruning has its own gates in the "block" and "enum3" sections.
+// The batched gate used to be >= 2x over exhaustive on the scalar
+// per-candidate loop. That loop is gone, and on the packed path the batched
+// cut measures about 1x (packed bounds and per-class tile searches leave it
+// little to save), so the batch is held to an absolute budget instead: the
+// committed scalar-path pruned time.
 //
-// Merges a "pruning" section into BENCH_hotpaths.json next to the PR-1/3
+// Merges a "pruning" section into BENCH_hotpaths.json next to the other
 // gates. Gates apply in full mode only.
 //
 // Usage: bench_pruning [--smoke] [--out <path>]
@@ -50,19 +51,11 @@ double msSince(Clock::time_point start) {
 }
 
 constexpr double kGateMinSingle = 1.5;
-constexpr double kGateMinBatched = 2.0;
+constexpr double kGateMaxBatchedPrunedMs = 2224.0;
 
 driver::ServiceOptions exhaustiveOptions() {
   driver::ServiceOptions o;
   o.enablePruning = false;
-  o.mappingCacheCapacity = 0;
-  o.blockSpecs = 0;  // scalar path (see file comment)
-  return o;
-}
-
-driver::ServiceOptions prunedOptions() {
-  driver::ServiceOptions o;
-  o.blockSpecs = 0;  // scalar path (see file comment)
   return o;
 }
 
@@ -73,7 +66,6 @@ struct PruningReport {
   double batchedExhaustiveMs = 0, batchedPrunedMs = 0;
   std::uint64_t pruned = 0;        ///< single-query dominance cuts
   std::uint64_t batchPruned = 0;   ///< batch-wide dominance cuts
-  std::uint64_t mappingHits = 0, mappingMisses = 0;
   double singleSpeedup() const { return singleExhaustiveMs / singlePrunedMs; }
   double batchedSpeedup() const { return batchedExhaustiveMs / batchedPrunedMs; }
 };
@@ -92,7 +84,7 @@ PruningReport benchPruning(int maxEntry) {
     r.singleExhaustiveMs = msSince(t);
   }
   {
-    driver::ExplorationService service(prunedOptions());
+    driver::ExplorationService service;
     const auto t = Clock::now();
     pruned1.push_back(service.run(single));
     r.singlePrunedMs = msSince(t);
@@ -112,13 +104,10 @@ PruningReport benchPruning(int maxEntry) {
     r.batchedExhaustiveMs = msSince(t);
   }
   {
-    driver::ExplorationService service(prunedOptions());
+    driver::ExplorationService service;
     const auto t = Clock::now();
     prunedB = service.runBatch(batch);
     r.batchedPrunedMs = msSince(t);
-    const auto stats = service.cacheStats();
-    r.mappingHits = stats.mappings.hits;
-    r.mappingMisses = stats.mappings.misses;
   }
   bench::checkSameResults(exhaustiveB, prunedB);
   for (const auto& res : prunedB) {
@@ -152,15 +141,15 @@ int main(int argc, char** argv) {
         r.singleExhaustiveMs, r.singlePrunedMs, r.singleSpeedup(), r.designs,
         static_cast<unsigned long long>(r.pruned));
     std::printf(
-        "  batched  exhaustive %.1f ms | pruned %.1f ms (%.2fx)  [%zu design "
-        "evals, %llu cut, mapping memo %llu hits / %llu searches]\n",
+        "  batched  exhaustive %.1f ms | pruned %.1f ms (%.2fx, budget %.0f "
+        "ms)  [%zu design evals, %llu cut]\n",
         r.batchedExhaustiveMs, r.batchedPrunedMs, r.batchedSpeedup(),
-        r.batchDesigns, static_cast<unsigned long long>(r.batchPruned),
-        static_cast<unsigned long long>(r.mappingHits),
-        static_cast<unsigned long long>(r.mappingMisses));
+        kGateMaxBatchedPrunedMs, r.batchDesigns,
+        static_cast<unsigned long long>(r.batchPruned));
 
-    const bool pass = smoke || (r.singleSpeedup() >= kGateMinSingle &&
-                                r.batchedSpeedup() >= kGateMinBatched);
+    const bool pass =
+        smoke || (r.singleSpeedup() >= kGateMinSingle &&
+                  r.batchedPrunedMs <= kGateMaxBatchedPrunedMs);
     std::ostringstream line;
     line << "\"pruning\": {\"workloads\": \"gemm256+attention64\", \"designs\": "
          << r.designs << ", \"batch_design_evals\": " << r.batchDesigns
@@ -172,10 +161,8 @@ int main(int argc, char** argv) {
          << ", \"batched_speedup\": " << r.batchedSpeedup()
          << ", \"pruned_single\": " << r.pruned
          << ", \"pruned_batched\": " << r.batchPruned
-         << ", \"mapping_hits\": " << r.mappingHits
-         << ", \"mapping_misses\": " << r.mappingMisses
          << ", \"gate_min_single_speedup\": " << kGateMinSingle
-         << ", \"gate_min_batched_speedup\": " << kGateMinBatched
+         << ", \"gate_max_batched_pruned_ms\": " << kGateMaxBatchedPrunedMs
          << ", \"pass\": " << (pass ? "true" : "false") << "}";
     bench::mergeJsonSection(out, "pruning", line.str());
     std::printf("  merged into %s\n", out.c_str());
@@ -184,9 +171,9 @@ int main(int argc, char** argv) {
       if (r.singleSpeedup() < kGateMinSingle)
         std::printf("  GATE FAIL: single-query speedup %.2f < %.1f\n",
                     r.singleSpeedup(), kGateMinSingle);
-      if (r.batchedSpeedup() < kGateMinBatched)
-        std::printf("  GATE FAIL: batched speedup %.2f < %.1f\n",
-                    r.batchedSpeedup(), kGateMinBatched);
+      if (r.batchedPrunedMs > kGateMaxBatchedPrunedMs)
+        std::printf("  GATE FAIL: batched pruned %.1f ms > %.0f ms budget\n",
+                    r.batchedPrunedMs, kGateMaxBatchedPrunedMs);
     }
     return pass ? 0 : 1;
   } catch (const tensorlib::Error& e) {

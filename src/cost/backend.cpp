@@ -82,8 +82,7 @@ class AsicBackend final : public CostBackend {
   }
 
   CostReport evaluate(const stt::DataflowSpec& spec,
-                      const stt::ArrayConfig& array,
-                      stt::MappingCache* /*mappings*/) const override {
+                      const stt::ArrayConfig& array) const override {
     CostReport rep;
     rep.asic = estimateAsic(spec, array, dataWidth_, table_);
     rep.figures = rep.asic.figures();
@@ -91,9 +90,8 @@ class AsicBackend final : public CostBackend {
   }
 
   sim::PerfResult estimatePerf(const stt::DataflowSpec& spec,
-                               const stt::ArrayConfig& array,
-                               stt::MappingCache* mappings) const override {
-    return sim::estimatePerformance(spec, array, mappings);
+                               const stt::ArrayConfig& array) const override {
+    return sim::estimatePerformance(spec, array);
   }
 
   CostBound lowerBound(const stt::DataflowSpec& spec,
@@ -176,19 +174,16 @@ class FpgaBackend final : public CostBackend {
   }
 
   CostReport evaluate(const stt::DataflowSpec& spec,
-                      const stt::ArrayConfig& array,
-                      stt::MappingCache* mappings) const override {
+                      const stt::ArrayConfig& array) const override {
     CostReport rep;
-    rep.fpga = estimateFpga(spec, array, config_, mappings);
+    rep.fpga = estimateFpga(spec, array, config_);
     rep.figures = rep.fpga->figures();
     return rep;
   }
 
   sim::PerfResult estimatePerf(const stt::DataflowSpec& spec,
-                               const stt::ArrayConfig& array,
-                               stt::MappingCache* mappings) const override {
-    return sim::estimatePerformance(spec, fpgaPerfConfig(spec, array, config_),
-                                    mappings);
+                               const stt::ArrayConfig& array) const override {
+    return sim::estimatePerformance(spec, fpgaPerfConfig(spec, array, config_));
   }
 
   CostBound lowerBound(const stt::DataflowSpec& spec,

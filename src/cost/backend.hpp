@@ -62,19 +62,15 @@ class CostBackend {
   /// Distinguishes evaluations in the cross-query cache: two backends with
   /// the same cacheKey must produce identical reports for every spec.
   virtual std::string cacheKey() const = 0;
-  /// `mappings`, when non-null, memoizes the tile-mapping searches behind
-  /// the estimate; results are bit-identical with or without it.
   virtual CostReport evaluate(const stt::DataflowSpec& spec,
-                              const stt::ArrayConfig& array,
-                              stt::MappingCache* mappings = nullptr) const = 0;
+                              const stt::ArrayConfig& array) const = 0;
   /// Performance of `spec` under this backend's operating point — the ASIC
   /// backend runs the array as configured; the FPGA backend models the
   /// achieved post-route frequency and the datapath's word size, so
   /// cycles/utilization on a frontier always match the cost model beside
   /// them.
   virtual sim::PerfResult estimatePerf(const stt::DataflowSpec& spec,
-                                       const stt::ArrayConfig& array,
-                                       stt::MappingCache* mappings = nullptr) const = 0;
+                                       const stt::ArrayConfig& array) const = 0;
   /// Cheap provable lower bound on what evaluate/estimatePerf would report
   /// (see CostBound). Never exceeds the true figures in any axis.
   virtual CostBound lowerBound(const stt::DataflowSpec& spec,

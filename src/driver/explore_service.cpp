@@ -50,6 +50,11 @@ std::string enumKey(const stt::EnumerationOptions& o) {
   return os.str();
 }
 
+/// Candidates per packed evaluation window: the block a list-path work unit
+/// evaluates at a time, and the bound-first search's flush size. 64 is the
+/// bench-gated setting (bench_block_bench).
+constexpr std::size_t kWindowSpecs = 64;
+
 std::string specKey(const stt::DataflowSpec& spec) {
   // The selection's loop INDICES are part of the key: labels abbreviate
   // loops to initials, so two selections over same-initial loops (e.g.
@@ -96,8 +101,7 @@ ParetoEntry paretoEntryOf(const sim::PerfResult& perf,
 std::string CacheStats::str() const {
   std::ostringstream os;
   os << "hits=" << hits << " misses=" << misses << " evictions=" << evictions
-     << " entries=" << entries << " shards=" << shards << " mappings=["
-     << mappings.str() << "]";
+     << " entries=" << entries << " shards=" << shards;
   return os.str();
 }
 
@@ -127,8 +131,7 @@ struct ExplorationService::Impl {
   /// Memoized enumerated design space (shared across queries; in-flight
   /// holders keep evicted lists alive through the shared_ptr). The packed
   /// block view and per-spec cache keys are built lazily under their own
-  /// once_flag: only block-path queries pay for them, exactly once per
-  /// list no matter how many queries share it.
+  /// once_flag, exactly once per list no matter how many queries share it.
   struct SpecListEntry {
     std::once_flag once;
     std::shared_ptr<const std::vector<stt::DataflowSpec>> specs;
@@ -137,12 +140,28 @@ struct ExplorationService::Impl {
     std::shared_ptr<const std::vector<std::string>> specKeys;
   };
 
+  /// What one work unit folds: its streaming frontier, the reports of its
+  /// frontier residents, and its share of the cache-bucket accounting.
+  struct UnitOut {
+    ParetoFrontier frontier;
+    std::unordered_map<std::size_t, DesignReport> kept;  ///< order -> report
+    std::uint64_t hits = 0, misses = 0, pruned = 0, skipped = 0;
+    std::uint64_t designs = 0;  ///< bound-first only: candidates handled
+  };
+
+  /// evaluateWindow's per-unit scratch, reused across windows so its
+  /// passes allocate nothing per candidate.
+  struct WindowScratch {
+    std::vector<std::shared_ptr<EvalEntry>> resident;
+    std::vector<std::uint8_t> state;  ///< 0 evaluate, 1 cache hit, 2 pruned
+    std::vector<std::size_t> pending;
+    std::vector<cost::CostBound> bounds;
+    std::vector<std::size_t> evicted;
+  };
+
   ServiceOptions options;
   ThreadPool pool;
   std::vector<EvalShard> shards;
-  /// Memoized tile mappings (perf + cost of one FPGA evaluation share one
-  /// search; scoped per service). Null when disabled.
-  std::unique_ptr<stt::MappingCache> mappings;
 
   std::mutex specMutex;
   std::unordered_map<std::string, std::shared_ptr<SpecListEntry>> specMap;
@@ -155,10 +174,7 @@ struct ExplorationService::Impl {
   std::size_t pendingSubmits = 0;
 
   explicit Impl(ServiceOptions opts)
-      : options(resolve(opts)), pool(options.threads - 1), shards(options.shardCount) {
-    if (options.mappingCacheCapacity > 0)
-      mappings = std::make_unique<stt::MappingCache>(options.mappingCacheCapacity);
-  }
+      : options(resolve(opts)), pool(options.threads - 1), shards(options.shardCount) {}
 
   static ServiceOptions resolve(ServiceOptions o) {
     if (o.threads == 0) {
@@ -208,21 +224,10 @@ struct ExplorationService::Impl {
     return {entry, false};
   }
 
-  const EvalEntry& force(const std::shared_ptr<EvalEntry>& entry,
-                         const stt::DataflowSpec& spec,
-                         const stt::ArrayConfig& array,
-                         const cost::CostBackend& backend) {
-    std::call_once(entry->once, [&] {
-      entry->perf = backend.estimatePerf(spec, array, mappings.get());
-      entry->cost = backend.evaluate(spec, array, mappings.get());
-      entry->ready.store(true, std::memory_order_release);
-    });
-    return *entry;
-  }
-
-  /// Block-path force: the packed evaluation produces the same values as
-  /// force() for the same spec (the equivalence contract), so whichever
-  /// path wins an entry's once_flag, every waiter reads identical results.
+  /// Computes an entry's evaluation once, through the packed models. They
+  /// equal the scalar CostBackend::estimatePerf/evaluate on the same spec
+  /// (the equivalence contract, pinned by tests/block_eval_test.cpp), so
+  /// every query that shares the entry reads what the scalar models say.
   const EvalEntry& forceBlock(const std::shared_ptr<EvalEntry>& entry,
                               const stt::SpecBlockSet& set, std::size_t i,
                               const stt::ArrayConfig& array,
@@ -287,11 +292,6 @@ struct ExplorationService::Impl {
     return entry;
   }
 
-  std::shared_ptr<const std::vector<stt::DataflowSpec>> specList(
-      const ExploreQuery& q) {
-    return specEntry(q)->specs;
-  }
-
   /// Builds the packed SoA view and per-spec cache keys of one list (once;
   /// concurrent callers block until ready).
   void ensureBlock(SpecListEntry& entry) {
@@ -309,6 +309,76 @@ struct ExplorationService::Impl {
     return algebraKey(q.algebra) + "|" + arrayKey(q.array) + "|" +
            backend.cacheKey() + "|";
   }
+
+  /// The one evaluation routine behind run()/runBatch(): candidates
+  /// [begin, end) of a packed `set` go through three passes and fold into
+  /// `out`.
+  ///   1. Cache peek: resident evaluations are cheaper than bounding, so
+  ///      hits bypass the bound pass entirely.
+  ///   2. Packed lower bounds for every non-resident candidate; a bound
+  ///      strictly dominated by `snapshot` (when given) or by the unit's
+  ///      own frontier is cut, all BEFORE any tile-mapping search.
+  ///   3. Survivors are evaluated (packed models + per-class mapping store)
+  ///      and folded into the streaming frontier in index order.
+  /// Passes 1-2 run only when `prune` is set. Candidate i has frontier
+  /// order `orderBase + i`; `keyOf(i)` returns its eval-cache key and
+  /// `specOf(i)` its DataflowSpec, asked for frontier keepers only.
+  template <class KeyOf, class SpecOf>
+  void evaluateWindow(const stt::SpecBlockSet& set, std::size_t begin,
+                      std::size_t end, std::size_t orderBase,
+                      const stt::ArrayConfig& array,
+                      const cost::CostBackend& backend,
+                      stt::BlockMappingStore& store, bool prune,
+                      const ParetoFrontier* snapshot, const KeyOf& keyOf,
+                      const SpecOf& specOf, WindowScratch& scratch,
+                      UnitOut& out) {
+    const std::size_t count = end - begin;
+    scratch.resident.assign(count, nullptr);
+    scratch.state.assign(count, 0);
+    scratch.pending.clear();
+    if (prune) {
+      for (std::size_t i = begin; i < end; ++i) {
+        scratch.resident[i - begin] = peekEntry(keyOf(i));
+        if (scratch.resident[i - begin])
+          scratch.state[i - begin] = 1;
+        else
+          scratch.pending.push_back(i);
+      }
+    }
+    if (!scratch.pending.empty()) {
+      scratch.bounds.resize(scratch.pending.size());
+      backend.lowerBoundBlock(set, scratch.pending.data(),
+                              scratch.pending.size(), array,
+                              scratch.bounds.data());
+      for (std::size_t p = 0; p < scratch.pending.size(); ++p) {
+        const cost::CostBound& bound = scratch.bounds[p];
+        const ParetoCost boundCost{bound.cycles, bound.figures.powerMw,
+                                   bound.figures.area, 0.0};
+        if (finiteCost(boundCost) &&
+            ((snapshot && snapshot->strictlyDominates(boundCost)) ||
+             out.frontier.strictlyDominates(boundCost))) {
+          ++out.pruned;
+          scratch.state[scratch.pending[p] - begin] = 2;
+        }
+      }
+    }
+    for (std::size_t i = begin; i < end; ++i) {
+      if (scratch.state[i - begin] == 2) continue;
+      std::shared_ptr<EvalEntry> entry = std::move(scratch.resident[i - begin]);
+      bool hit = scratch.state[i - begin] == 1;
+      if (!entry) std::tie(entry, hit) = evalEntry(keyOf(i));
+      forceBlock(entry, set, i, array, backend, store);
+      (hit ? out.hits : out.misses) += 1;
+      const std::size_t order = orderBase + i;
+      scratch.evicted.clear();
+      if (out.frontier.insert(paretoEntryOf(entry->perf, entry->cost.figures,
+                                            order, set.labels[i]),
+                              &scratch.evicted))
+        out.kept.emplace(order,
+                         DesignReport(specOf(i), entry->perf, entry->cost));
+      for (std::size_t o : scratch.evicted) out.kept.erase(o);
+    }
+  }
 };
 
 ExplorationService::ExplorationService(ServiceOptions options)
@@ -325,14 +395,13 @@ std::vector<QueryResult> ExplorationService::runBatch(
   std::vector<QueryResult> results(n);
   if (n == 0) return results;
 
-  // Phase 1: resolve each query's backend and (cached) design space. The
-  // block path additionally packs the list into its SoA view (once per
-  // list) and sizes a per-query mapping store (one slot per mapping class
-  // times the backend's operating-point fan-out). Bound-first queries
-  // never materialize a spec list at all — they resolve per-selection
-  // contexts and geometries instead, and the search streams candidates
-  // into packed windows inside their (single) work unit.
-  const bool useBlocks = impl_->options.blockSpecs > 0;
+  // Phase 1: resolve each query's backend and (cached) design space, packed
+  // into its SoA view (once per list), and size a per-query mapping store
+  // (one slot per mapping class times the backend's operating-point
+  // fan-out). Bound-first queries never materialize a spec list at all —
+  // they resolve per-selection contexts and geometries instead, and the
+  // search streams candidates into packed windows inside their (single)
+  // work unit.
   struct BoundFirstQueryData {
     std::vector<stt::SpecContextPtr> contexts;     ///< one per selection
     std::vector<stt::SelectionGeometry> geometries;
@@ -340,7 +409,6 @@ std::vector<QueryResult> ExplorationService::runBatch(
   };
   std::vector<std::shared_ptr<const cost::CostBackend>> backends(n);
   std::vector<std::shared_ptr<Impl::SpecListEntry>> listEntries(n);
-  std::vector<std::shared_ptr<const std::vector<stt::DataflowSpec>>> lists(n);
   std::vector<std::string> prefixes(n);
   std::vector<std::unique_ptr<stt::BlockMappingStore>> stores(n);
   std::vector<std::unique_ptr<BoundFirstQueryData>> boundFirst(n);
@@ -363,12 +431,9 @@ std::vector<QueryResult> ExplorationService::runBatch(
       return;
     }
     listEntries[i] = impl_->specEntry(batch[i]);
-    lists[i] = listEntries[i]->specs;
-    if (useBlocks) {
-      impl_->ensureBlock(*listEntries[i]);
-      stores[i] = std::make_unique<stt::BlockMappingStore>(
-          backends[i]->blockSlotCount(*listEntries[i]->block));
-    }
+    impl_->ensureBlock(*listEntries[i]);
+    stores[i] = std::make_unique<stt::BlockMappingStore>(
+        backends[i]->blockSlotCount(*listEntries[i]->block));
   });
 
   // Phase 2: shard every query's space into work units; fan the whole
@@ -385,18 +450,11 @@ std::vector<QueryResult> ExplorationService::runBatch(
       units.push_back({i, 0, 0});
       continue;
     }
-    const std::size_t total = lists[i]->size();
+    const std::size_t total = listEntries[i]->specs->size();
     for (std::size_t b = 0; b < total; b += impl_->options.workUnitSpecs)
       units.push_back({i, b, std::min(total, b + impl_->options.workUnitSpecs)});
   }
-
-  struct UnitOut {
-    ParetoFrontier frontier;
-    std::unordered_map<std::size_t, DesignReport> kept;  ///< order -> report
-    std::uint64_t hits = 0, misses = 0, pruned = 0, skipped = 0;
-    std::uint64_t designs = 0;  ///< bound-first only: candidates handled
-  };
-  std::vector<UnitOut> outs(units.size());
+  std::vector<Impl::UnitOut> outs(units.size());
 
   // Per-query deadlines, measured from batch entry. A query whose deadline
   // expires stops mid-unit; its remaining candidates count as `skipped`
@@ -416,11 +474,11 @@ std::vector<QueryResult> ExplorationService::runBatch(
   }
 
   // Per-query incumbent frontiers shared across that query's work units:
-  // each completed unit publishes its survivors, each starting unit
-  // snapshots the incumbents it can prune against. Every incumbent is a
-  // fully evaluated true cost, so pruning against a racy snapshot is still
-  // sound — only *how many* candidates get cut varies with scheduling, the
-  // final frontier never does.
+  // each completed unit publishes its survivors, and every window of a
+  // running unit snapshots the incumbents it can prune against. Every
+  // incumbent is a fully evaluated true cost, so pruning against a racy
+  // snapshot is still sound — only *how many* candidates get cut varies
+  // with scheduling, the final frontier never does.
   struct Incumbent {
     std::mutex mutex;
     ParetoFrontier frontier;
@@ -432,7 +490,7 @@ std::vector<QueryResult> ExplorationService::runBatch(
     const Unit& unit = units[u];
     const ExploreQuery& q = batch[unit.query];
     const cost::CostBackend& backend = *backends[unit.query];
-    UnitOut& out = outs[u];
+    Impl::UnitOut& out = outs[u];
     DeadlineState& deadline = deadlines[unit.query];
     // Rehearsable failure boundary: the chaos harness arms slow units
     // (deadline/overload drills), thrown units (error responses), and
@@ -445,48 +503,30 @@ std::vector<QueryResult> ExplorationService::runBatch(
       else if (fault->action == "exit")
         std::_Exit(static_cast<int>(fault->value));
     }
-    // Incumbent snapshots are refreshed DURING the unit, not only at its
-    // start: every incumbent is a fully evaluated true cost, so any
-    // snapshot age is sound, but a stale one lets late candidates in a
-    // large unit dodge cuts that completed units already justify. The
-    // block path re-snapshots per block; the scalar path every
-    // kScalarSnapshotSpecs candidates.
-    constexpr std::size_t kScalarSnapshotSpecs = 64;
-    ParetoFrontier snapshot;
-    if (prune) {
-      std::lock_guard<std::mutex> lock(incumbents[unit.query].mutex);
-      snapshot = incumbents[unit.query].frontier;
-    }
-    std::vector<std::size_t> evicted;
+    // The deadline is observed at window boundaries.
+    const auto expired = [&] {
+      if (!deadline.armed) return false;
+      if (deadline.expired.load(std::memory_order_relaxed)) return true;
+      if (Clock::now() >= deadline.at) {
+        deadline.expired.store(true, std::memory_order_relaxed);
+        return true;
+      }
+      return false;
+    };
+    Impl::WindowScratch scratch;
     if (boundFirst[unit.query]) {
       // Bound-first branch-and-bound: stream the search's survivors into a
-      // reusable packed window, evaluate windows through the block models,
-      // and fold into the unit's own streaming frontier — which doubles as
-      // the incumbent the partial-transform cut prices against (one unit
-      // per query, so there is nothing to snapshot). DataflowSpecs are
-      // materialized lazily, only for frontier keepers.
+      // reusable packed window, evaluate full windows, and fold into the
+      // unit's own streaming frontier — which doubles as the incumbent the
+      // partial-transform cut prices against (one unit per query, so there
+      // is nothing to snapshot). DataflowSpecs are materialized lazily,
+      // only for frontier keepers.
       const BoundFirstQueryData& bf = *boundFirst[unit.query];
-      const std::size_t windowSize =
-          impl_->options.blockSpecs > 0 ? impl_->options.blockSpecs : 64;
       stt::SpecBlockSet window;
       std::vector<linalg::IntMatrix> matrices;  ///< signed, for lazy analyze
-      std::vector<std::size_t> orders;          ///< running rep order/window
       std::vector<std::string> keys;
-      std::vector<std::shared_ptr<Impl::EvalEntry>> resident;
-      std::vector<std::uint8_t> state;
-      std::vector<std::size_t> pendingIdx;
-      std::vector<cost::CostBound> bounds;
       std::unordered_map<std::uint64_t, cost::CostBound> boundMemo;
-      std::size_t repCounter = 0;
-      const auto expired = [&] {
-        if (!deadline.armed) return false;
-        if (deadline.expired.load(std::memory_order_relaxed)) return true;
-        if (Clock::now() >= deadline.at) {
-          deadline.expired.store(true, std::memory_order_relaxed);
-          return true;
-        }
-        return false;
-      };
+      std::size_t repCounter = 0;  ///< running representative order
       for (std::size_t s = 0; s < bf.contexts.size(); ++s) {
         if (expired()) break;  // unreached candidates are not designs
         const stt::SelectionGeometry& geometry = bf.geometries[s];
@@ -494,10 +534,16 @@ std::vector<QueryResult> ExplorationService::runBatch(
         const auto resetWindow = [&] {
           stt::resetSpecBlocks(window, geometry);
           matrices.clear();
-          orders.clear();
           keys.clear();
         };
         resetWindow();
+        const auto keyOf = [&](std::size_t i) -> const std::string& {
+          return keys[i];
+        };
+        const auto specOf = [&](std::size_t i) {
+          return stt::analyzeDataflow(bf.contexts[s],
+                                      stt::SpaceTimeTransform(matrices[i]));
+        };
         const auto flushWindow = [&] {
           const std::size_t count = window.count;
           if (count == 0) return;
@@ -506,60 +552,13 @@ std::vector<QueryResult> ExplorationService::runBatch(
             resetWindow();
             return;
           }
+          // The packed bounds are tighter than the partial cut: they see
+          // class structures and the exact per-candidate intensity.
           stt::assignSpecBlockClasses(window);
           stt::BlockMappingStore store(backend.blockSlotCount(window));
-          // The list block path's three passes: cache peek, packed bounds
-          // (tighter than the partial cut — they see class structures and
-          // the exact per-candidate intensity), evaluate survivors.
-          resident.assign(count, nullptr);
-          state.assign(count, 0);
-          pendingIdx.clear();
-          if (prune) {
-            for (std::size_t i = 0; i < count; ++i) {
-              std::shared_ptr<Impl::EvalEntry> entry =
-                  impl_->peekEntry(keys[i]);
-              state[i] = entry ? 1 : 0;
-              resident[i] = std::move(entry);
-              if (state[i] == 0) pendingIdx.push_back(i);
-            }
-            if (!pendingIdx.empty()) {
-              bounds.resize(pendingIdx.size());
-              backend.lowerBoundBlock(window, pendingIdx.data(),
-                                      pendingIdx.size(), q.array,
-                                      bounds.data());
-              for (std::size_t p = 0; p < pendingIdx.size(); ++p) {
-                const ParetoCost boundCost{bounds[p].cycles,
-                                           bounds[p].figures.powerMw,
-                                           bounds[p].figures.area, 0.0};
-                if (finiteCost(boundCost) &&
-                    out.frontier.strictlyDominates(boundCost)) {
-                  ++out.pruned;
-                  state[pendingIdx[p]] = 2;
-                }
-              }
-            }
-          }
-          for (std::size_t i = 0; i < count; ++i) {
-            if (state[i] == 2) continue;
-            std::shared_ptr<Impl::EvalEntry> entry = std::move(resident[i]);
-            bool hit = state[i] == 1;
-            if (!entry) std::tie(entry, hit) = impl_->evalEntry(keys[i]);
-            impl_->forceBlock(entry, window, i, q.array, backend, store);
-            (hit ? out.hits : out.misses) += 1;
-            evicted.clear();
-            if (out.frontier.insert(
-                    paretoEntryOf(entry->perf, entry->cost.figures, orders[i],
-                                  window.labels[i]),
-                    &evicted)) {
-              // Only frontier keepers ever pay for a DataflowSpec.
-              stt::DataflowSpec spec = stt::analyzeDataflow(
-                  bf.contexts[s], stt::SpaceTimeTransform(matrices[i]));
-              out.kept.emplace(
-                  orders[i],
-                  DesignReport(std::move(spec), entry->perf, entry->cost));
-            }
-            for (std::size_t o : evicted) out.kept.erase(o);
-          }
+          impl_->evaluateWindow(window, 0, count, repCounter - count, q.array,
+                                backend, store, prune, nullptr, keyOf, specOf,
+                                scratch, out);
           resetWindow();
         };
         stt::BoundFirstHooks hooks;
@@ -589,11 +588,11 @@ std::vector<QueryResult> ExplorationService::runBatch(
                                c.absDir, c.systolicDt,
                                geometry.selectionLabel + "-" + c.letters);
           matrices.push_back(*c.matrix);
-          orders.push_back(repCounter++);
           keys.push_back(prefixes[unit.query] + bf.selKeyPrefixes[s] +
                          c.letters + "|" + c.matrix->str());
+          ++repCounter;
           ++out.designs;
-          if (window.count >= windowSize) flushWindow();
+          if (window.count >= kWindowSpecs) flushWindow();
         };
         if (deadline.armed) hooks.shouldStop = expired;
         const stt::BoundFirstStats st = stt::enumerateBoundFirst(
@@ -604,149 +603,39 @@ std::vector<QueryResult> ExplorationService::runBatch(
         }
         flushWindow();
       }
-    } else if (useBlocks) {
-      const auto& specs = *lists[unit.query];
-      const stt::SpecBlockSet& set = *listEntries[unit.query]->block;
-      const std::vector<std::string>& specKeys = *listEntries[unit.query]->specKeys;
-      stt::BlockMappingStore& store = *stores[unit.query];
-      // Per-unit scratch, reused across blocks: the inner passes allocate
-      // nothing per candidate (keys reuse one buffer's capacity).
-      const std::size_t blockCap =
-          std::min(impl_->options.blockSpecs, unit.end - unit.begin);
-      std::string key;
-      std::vector<std::shared_ptr<Impl::EvalEntry>> resident(blockCap);
-      std::vector<std::uint8_t> state(blockCap);  // 0 eval, 1 hit, 2 pruned
-      std::vector<std::size_t> pending;
-      std::vector<cost::CostBound> bounds;
-      pending.reserve(blockCap);
-      for (std::size_t b = unit.begin; b < unit.end;
-           b += impl_->options.blockSpecs) {
-        // The deadline is observed at block boundaries; on expiry the
-        // WHOLE untouched remainder counts as skipped, so the accounting
-        // invariant (hits + misses + pruned + skipped == designs) holds
-        // exactly for timed-out partial results too.
-        if (deadline.armed &&
-            (deadline.expired.load(std::memory_order_relaxed) ||
-             Clock::now() >= deadline.at)) {
-          deadline.expired.store(true, std::memory_order_relaxed);
+    } else {
+      // List path: the unit's range in windows of kWindowSpecs, each pruned
+      // against a fresh incumbent snapshot — a stale one would let late
+      // candidates in a large unit dodge cuts that completed units already
+      // justify.
+      const Impl::SpecListEntry& list = *listEntries[unit.query];
+      const std::string& prefix = prefixes[unit.query];
+      std::string key;  ///< reused: keys allocate nothing per candidate
+      const auto keyOf = [&](std::size_t i) -> const std::string& {
+        key.assign(prefix);
+        key.append((*list.specKeys)[i]);
+        return key;
+      };
+      const auto specOf = [&](std::size_t i) -> const stt::DataflowSpec& {
+        return (*list.specs)[i];
+      };
+      ParetoFrontier snapshot;
+      for (std::size_t b = unit.begin; b < unit.end; b += kWindowSpecs) {
+        // On expiry the WHOLE untouched remainder counts as skipped, so the
+        // accounting invariant (hits + misses + pruned + skipped ==
+        // designs) holds exactly for timed-out partial results too.
+        if (expired()) {
           out.skipped += unit.end - b;
           break;
         }
-        const std::size_t blockEnd =
-            std::min(unit.end, b + impl_->options.blockSpecs);
-        if (prune && b != unit.begin) {
+        if (prune) {
           std::lock_guard<std::mutex> lock(incumbents[unit.query].mutex);
           snapshot = incumbents[unit.query].frontier;
         }
-        // Pass 1 — cache peek: resident evaluations are cheaper than
-        // bounding, so hits bypass the bound pass entirely.
-        pending.clear();
-        for (std::size_t i = b; i < blockEnd; ++i) {
-          key.assign(prefixes[unit.query]);
-          key.append(specKeys[i]);
-          std::shared_ptr<Impl::EvalEntry> entry =
-              prune ? impl_->peekEntry(key) : nullptr;
-          state[i - b] = entry ? 1 : 0;
-          resident[i - b] = std::move(entry);
-          if (prune && state[i - b] == 0) pending.push_back(i);
-        }
-        // Pass 2 — packed lower bounds for every non-resident candidate
-        // of the block, then whole-block dominance cuts against the fresh
-        // snapshot and this unit's own evaluated stream, all BEFORE any
-        // tile-mapping search.
-        if (!pending.empty()) {
-          bounds.resize(pending.size());
-          backend.lowerBoundBlock(set, pending.data(), pending.size(),
-                                  q.array, bounds.data());
-          for (std::size_t p = 0; p < pending.size(); ++p) {
-            const ParetoCost boundCost{bounds[p].cycles,
-                                       bounds[p].figures.powerMw,
-                                       bounds[p].figures.area, 0.0};
-            if (finiteCost(boundCost) &&
-                (snapshot.strictlyDominates(boundCost) ||
-                 out.frontier.strictlyDominates(boundCost))) {
-              ++out.pruned;
-              state[pending[p] - b] = 2;
-            }
-          }
-        }
-        // Pass 3 — evaluate survivors (packed models + per-class mapping
-        // store) and fold into the streaming frontier in index order.
-        for (std::size_t i = b; i < blockEnd; ++i) {
-          if (state[i - b] == 2) continue;
-          std::shared_ptr<Impl::EvalEntry> entry = std::move(resident[i - b]);
-          bool hit = state[i - b] == 1;
-          if (!entry) {
-            key.assign(prefixes[unit.query]);
-            key.append(specKeys[i]);
-            std::tie(entry, hit) = impl_->evalEntry(key);
-          }
-          impl_->forceBlock(entry, set, i, q.array, backend, store);
-          (hit ? out.hits : out.misses) += 1;
-          evicted.clear();
-          if (out.frontier.insert(paretoEntryOf(entry->perf,
-                                                entry->cost.figures, i,
-                                                set.labels[i]),
-                                  &evicted))
-            out.kept.emplace(i, DesignReport(specs[i], entry->perf,
-                                             entry->cost));
-          for (std::size_t o : evicted) out.kept.erase(o);
-        }
+        impl_->evaluateWindow(*list.block, b, std::min(unit.end, b + kWindowSpecs),
+                              0, q.array, backend, *stores[unit.query], prune,
+                              &snapshot, keyOf, specOf, scratch, out);
       }
-    } else {
-    const auto& specs = *lists[unit.query];
-    std::size_t sinceSnapshot = 0;
-    for (std::size_t i = unit.begin; i < unit.end; ++i) {
-      if (deadline.armed && (deadline.expired.load(std::memory_order_relaxed) ||
-                             Clock::now() >= deadline.at)) {
-        deadline.expired.store(true, std::memory_order_relaxed);
-        out.skipped += unit.end - i;
-        break;
-      }
-      if (prune && sinceSnapshot >= kScalarSnapshotSpecs) {
-        std::lock_guard<std::mutex> lock(incumbents[unit.query].mutex);
-        snapshot = incumbents[unit.query].frontier;
-        sinceSnapshot = 0;
-      }
-      ++sinceSnapshot;
-      const stt::DataflowSpec& spec = specs[i];
-      const std::string key = prefixes[unit.query] + specKey(spec);
-      std::shared_ptr<Impl::EvalEntry> entry;
-      bool hit = false;
-      if (prune) {
-        // Cached evaluations are cheaper than bounding: peek first, bound
-        // only candidates that would actually pay for a full evaluation.
-        entry = impl_->peekEntry(key);
-        hit = entry != nullptr;
-        if (!entry) {
-          // A non-pruned candidate recomputes the mapping-free cost model
-          // inside evaluate(); that duplicate is microseconds against the
-          // tile search it risks, and keeps the cache entry a pure
-          // function of (spec, array, backend) rather than of bound state.
-          const cost::CostBound bound = backend.lowerBound(spec, q.array);
-          const ParetoCost boundCost{bound.cycles, bound.figures.powerMw,
-                                     bound.figures.area, 0.0};
-          // Strict dominance of the lower bound by a final incumbent (from
-          // the snapshot or this unit's own evaluated stream) proves the
-          // true cost would be rejected by insert(); skip the evaluation.
-          if (finiteCost(boundCost) &&
-              (snapshot.strictlyDominates(boundCost) ||
-               out.frontier.strictlyDominates(boundCost))) {
-            ++out.pruned;
-            continue;
-          }
-        }
-      }
-      if (!entry) std::tie(entry, hit) = impl_->evalEntry(key);
-      impl_->force(entry, spec, q.array, backend);
-      (hit ? out.hits : out.misses) += 1;
-      evicted.clear();
-      if (out.frontier.insert(
-              paretoEntryOf(entry->perf, entry->cost.figures, i, spec.label()),
-              &evicted))
-        out.kept.emplace(i, DesignReport(spec, entry->perf, entry->cost));
-      for (std::size_t o : evicted) out.kept.erase(o);
-    }
     }
     if (prune) {
       std::lock_guard<std::mutex> lock(incumbents[unit.query].mutex);
@@ -763,7 +652,7 @@ std::vector<QueryResult> ExplorationService::runBatch(
     std::uint64_t boundFirstDesigns = 0;
     for (std::size_t u = 0; u < units.size(); ++u) {
       if (units[u].query != i) continue;
-      UnitOut& out = outs[u];
+      Impl::UnitOut& out = outs[u];
       results[i].cache.hits += out.hits;
       results[i].cache.misses += out.misses;
       results[i].cache.pruned += out.pruned;
@@ -779,7 +668,7 @@ std::vector<QueryResult> ExplorationService::runBatch(
     const std::vector<ParetoEntry> ordered = frontier.sorted();
     results[i].designs = boundFirst[i]
                              ? static_cast<std::size_t>(boundFirstDesigns)
-                             : lists[i]->size();
+                             : listEntries[i]->specs->size();
     results[i].timedOut = deadlines[i].expired.load(std::memory_order_relaxed);
     const QueryCacheCounts& c = results[i].cache;
     TL_CHECK(c.hits + c.misses + c.pruned + c.skipped == results[i].designs,
@@ -829,20 +718,25 @@ std::future<QueryResult> ExplorationService::submit(ExploreQuery query) {
 std::vector<DesignReport> ExplorationService::evaluateAll(
     const ExploreQuery& query) {
   const auto backend = makeBackend(query);
-  const auto list = impl_->specList(query);
+  const auto list = impl_->specEntry(query);
+  impl_->ensureBlock(*list);
+  const stt::SpecBlockSet& set = *list->block;
   const std::string prefix = impl_->evalPrefix(query, *backend);
-  const std::size_t n = list->size();
+  stt::BlockMappingStore store(backend->blockSlotCount(set));
+  const std::size_t n = set.count;
 
   std::vector<std::optional<DesignReport>> slots(n);
   const std::size_t chunk = impl_->options.workUnitSpecs;
   const std::size_t unitCount = (n + chunk - 1) / chunk;
   parallelForOn(impl_->pool, unitCount, [&](std::size_t u) {
     const std::size_t begin = u * chunk, end = std::min(n, begin + chunk);
+    std::string key;
     for (std::size_t i = begin; i < end; ++i) {
-      const stt::DataflowSpec& spec = (*list)[i];
-      const auto entry = impl_->evalEntry(prefix + specKey(spec)).first;
-      impl_->force(entry, spec, query.array, *backend);
-      slots[i].emplace(spec, entry->perf, entry->cost);
+      key.assign(prefix);
+      key.append((*list->specKeys)[i]);
+      const auto entry = impl_->evalEntry(key).first;
+      impl_->forceBlock(entry, set, i, query.array, *backend, store);
+      slots[i].emplace((*list->specs)[i], entry->perf, entry->cost);
     }
   });
 
@@ -855,9 +749,12 @@ std::vector<DesignReport> ExplorationService::evaluateAll(
 DesignReport ExplorationService::evaluate(const ExploreQuery& query,
                                           const stt::DataflowSpec& spec) {
   const auto backend = makeBackend(query);
+  const auto set = stt::packSpecBlocks(
+      std::make_shared<const std::vector<stt::DataflowSpec>>(1, spec));
+  stt::BlockMappingStore store(backend->blockSlotCount(*set));
   const auto entry =
       impl_->evalEntry(impl_->evalPrefix(query, *backend) + specKey(spec)).first;
-  impl_->force(entry, spec, query.array, *backend);
+  impl_->forceBlock(entry, *set, 0, query.array, *backend, store);
   return DesignReport(spec, entry->perf, entry->cost);
 }
 
@@ -871,7 +768,6 @@ CacheStats ExplorationService::cacheStats() const {
     stats.evictions += shard.evictions;
     stats.entries += shard.map.size();
   }
-  if (impl_->mappings) stats.mappings = impl_->mappings->stats();
   return stats;
 }
 
@@ -882,7 +778,6 @@ void ExplorationService::clearCache() {
     shard.fifo.clear();
     shard.hits = shard.misses = shard.evictions = 0;
   }
-  if (impl_->mappings) impl_->mappings->clear();
   std::lock_guard<std::mutex> lock(impl_->specMutex);
   impl_->specMap.clear();
   impl_->specFifo.clear();
@@ -905,17 +800,6 @@ bool ExplorationService::saveSnapshot(const std::string& path,
                                    (entry.boundFirst ? 8 : 0)));
     w.u64(entry.matrices->size());
     for (const linalg::IntMatrix& m : *entry.matrices) snap::writeMatrix(w, m);
-  }
-
-  // Tile-mapping memo.
-  const auto mappings =
-      impl_->mappings ? impl_->mappings->exportEntries()
-                      : std::vector<std::pair<
-                            std::string, std::shared_ptr<const stt::TileMapping>>>{};
-  w.u64(mappings.size());
-  for (const auto& [key, mapping] : mappings) {
-    w.str(key);
-    snap::writeMapping(w, *mapping);
   }
 
   // Eval cache: only entries whose evaluation completed (an in-flight
@@ -952,8 +836,6 @@ snapshot::RestoreResult ExplorationService::restoreSnapshot(
   // live cache: a snapshot that fails mid-decode leaves the service
   // exactly as cold as it was, never half-populated.
   std::vector<stt::CandidateCacheEntry> candidateLists;
-  std::vector<std::pair<std::string, std::shared_ptr<const stt::TileMapping>>>
-      mappingEntries;
   std::vector<std::tuple<std::string, sim::PerfResult, cost::CostReport>> evals;
   try {
     snap::Reader r(*payload);
@@ -984,14 +866,6 @@ snapshot::RestoreResult ExplorationService::restoreSnapshot(
       candidateLists.push_back(std::move(entry));
     }
 
-    const std::uint64_t mappings = r.u64();
-    for (std::uint64_t i = 0; i < mappings; ++i) {
-      std::string key = r.str();
-      auto mapping =
-          std::make_shared<const stt::TileMapping>(snap::readMapping(r));
-      mappingEntries.emplace_back(std::move(key), std::move(mapping));
-    }
-
     const std::uint64_t entries = r.u64();
     for (std::uint64_t i = 0; i < entries; ++i) {
       std::string key = r.str();
@@ -1011,8 +885,6 @@ snapshot::RestoreResult ExplorationService::restoreSnapshot(
   }
 
   result.candidateLists = stt::importCandidateCache(candidateLists);
-  if (impl_->mappings)
-    result.mappingEntries = impl_->mappings->importEntries(mappingEntries);
   for (const auto& [key, perf, cost] : evals)
     if (impl_->importEval(key, perf, cost)) ++result.evalEntries;
   result.status = snap::RestoreStatus::Restored;

@@ -15,6 +15,15 @@
 //     the algebra, duplicate user queries — pay for each design point once.
 //     Enumerated spec lists are cached the same way. Hit/miss/eviction
 //     stats are surfaced per query and service-wide.
+//   * One packed evaluation path: each enumerated list is packed once into
+//     struct-of-arrays form (stt::SpecBlockSet), and every evaluation —
+//     run()/runBatch(), evaluateAll() and evaluate() — goes through the
+//     packed models, sharing one tile search per mapping class through a
+//     stt::BlockMappingStore. run()/runBatch() walk each work unit in
+//     windows of 64 candidates: peek the cache, lower-bound the rest in one
+//     packed pass, cut dominated candidates, evaluate survivors. The
+//     scalar models (CostBackend::estimatePerf/evaluate) stay as the
+//     independent test oracle the packed ones are pinned to.
 //   * Incremental Pareto streaming: run()/runBatch() fold every evaluated
 //     point into a (cycles, power, area) ParetoFrontier on the fly and keep
 //     reports only for frontier residents, instead of materializing the
@@ -112,7 +121,6 @@ struct CacheStats {
   std::uint64_t evictions = 0;
   std::size_t entries = 0;  ///< evaluations currently resident
   std::size_t shards = 0;
-  stt::MappingCacheStats mappings;  ///< tile-mapping memo traffic
   std::string str() const;
 };
 
@@ -126,33 +134,14 @@ struct ServiceOptions {
   std::size_t cacheCapacity = 1u << 16;   ///< cached evaluations (FIFO/shard)
   std::size_t specListCacheCapacity = 8;  ///< enumerated design spaces kept
   std::size_t workUnitSpecs = 128;        ///< specs per scheduled work unit
-  /// Specs per evaluation block inside a work unit. The default (64, the
-  /// bench-gated setting — bench_block, >= 2x) runs run()/runBatch()
-  /// through the struct-of-arrays block pipeline: each enumerated list is
-  /// packed once into contiguous arrays (stt::SpecBlockSet), every block
-  /// peeks the eval cache, lower-bounds all non-resident candidates in one
-  /// packed pass, prunes whole blocks against a per-block incumbent
-  /// snapshot *before* any tile search, and evaluates survivors through a
-  /// per-query mapping store (one tile search per mapping class). 0 is the
-  /// escape hatch back to the scalar per-candidate path. Frontiers,
-  /// winners and evaluateAll() stay bit-identical either way at any thread
-  /// count (tests/block_eval_test.cpp); only speed and the
-  /// hits/misses/pruned split change. Bound-first queries
-  /// (EnumerationOptions::boundFirst) always evaluate through packed
-  /// windows; for them this knob only sets the window size (0 -> 64).
-  std::size_t blockSpecs = 64;
   /// Lower-bound dominance pruning in run()/runBatch(): candidates whose
   /// provable (cycles, power, area) lower bound is strictly dominated by an
   /// already-evaluated incumbent skip full evaluation. The resulting
   /// frontier is bit-identical to exhaustive evaluation at any thread
   /// count; only the cache-traffic split (hits/misses vs pruned) varies.
-  /// evaluateAll() never prunes (it materializes every report).
+  /// evaluateAll() never prunes (it materializes every report). Off, it is
+  /// the exhaustive reference the pruning differential tests compare to.
   bool enablePruning = true;
-  /// Capacity of the service's tile-mapping memo (see stt::MappingCache);
-  /// 0 disables it. The memo halves FPGA evaluations (perf + cost both
-  /// need the mapping) and is scoped to this service, so one-shot cold
-  /// explorations stay honestly cold.
-  std::size_t mappingCacheCapacity = 1u << 14;
 };
 
 class ExplorationService {
@@ -188,8 +177,8 @@ class ExplorationService {
   /// Drops all cached evaluations and spec lists and zeroes the stats.
   void clearCache();
 
-  /// Serializes the warm state — every completed eval-cache entry, the
-  /// tile-mapping memo, and the process-wide candidate-matrix memo — into
+  /// Serializes the warm state — every completed eval-cache entry and the
+  /// process-wide candidate-matrix memo — into
   /// a versioned, checksummed snapshot written atomically (tmp + rename;
   /// see driver/snapshot.*). `fingerprint` is the cache-schema
   /// compatibility string (snapshot::cacheSchemaFingerprint) a restore

@@ -1,6 +1,7 @@
 #include "driver/wire.hpp"
 
 #include <algorithm>
+#include <limits>
 #include <sstream>
 #include <utility>
 
@@ -19,6 +20,25 @@ Objective requireObjective(const std::string& name) {
     fail("unknown objective '" + name +
          "' (expected performance|power|energy-delay)");
   return *o;
+}
+
+/// An integer field that must fit in `int` and be at least `min`; anything
+/// else fails rather than wrapping into a different, valid-looking query.
+std::optional<int> getIntField(const support::JsonObject& obj,
+                               const std::string& key,
+                               int min = std::numeric_limits<int>::min()) {
+  const auto v = obj.getInt(key);
+  if (!v) return std::nullopt;
+  if (*v < min || *v > std::numeric_limits<int>::max())
+    fail("field '" + key + "' = " + std::to_string(*v) +
+         " is out of range [" + std::to_string(min) + ", " +
+         std::to_string(std::numeric_limits<int>::max()) + "]");
+  return static_cast<int>(*v);
+}
+
+/// The enumeration bound every request kind accepts: at least 1.
+std::optional<int> getMaxEntry(const support::JsonObject& obj) {
+  return getIntField(obj, "max_entry", 1);
 }
 
 /// Applies the array fields every request kind shares.
@@ -57,9 +77,8 @@ ExploreQuery parseQuery(const support::JsonObject& obj) {
     q.backend = *kind;
   }
   parseArrayFields(obj, &q.array);
-  if (const auto v = obj.getInt("data_width")) q.dataWidth = static_cast<int>(*v);
-  if (const auto v = obj.getInt("max_entry"))
-    q.enumeration.maxEntry = static_cast<int>(*v);
+  if (const auto v = getIntField(obj, "data_width")) q.dataWidth = *v;
+  if (const auto v = getMaxEntry(obj)) q.enumeration.maxEntry = *v;
   if (const auto v = obj.getInt("deadline_ms")) q.deadlineMs = *v;
   if (const auto v = obj.getBool("fp32")) q.fpga.fp32 = *v;
   if (const auto v = obj.getInt("vector_lanes")) q.fpga.vectorLanes = *v;
@@ -96,9 +115,8 @@ NetworkQuery parseNetworkQuery(const support::JsonObject& obj) {
     if (!kind) fail("unknown backend '" + *v + "' (expected asic|fpga)");
     q.backend = *kind;
   }
-  if (const auto v = obj.getInt("data_width")) q.dataWidth = static_cast<int>(*v);
-  if (const auto v = obj.getInt("max_entry"))
-    q.enumeration.maxEntry = static_cast<int>(*v);
+  if (const auto v = getIntField(obj, "data_width")) q.dataWidth = *v;
+  if (const auto v = getMaxEntry(obj)) q.enumeration.maxEntry = *v;
   if (const auto v = obj.getBool("fp32")) q.fpga.fp32 = *v;
   if (const auto v = obj.getInt("vector_lanes")) q.fpga.vectorLanes = *v;
   if (const auto v = obj.getBool("placement_optimized"))
@@ -138,10 +156,8 @@ void parseModelConformance(const support::JsonObject& obj, Request* request) {
     o.dataSeed = static_cast<std::uint64_t>(*v);
   if (const auto v = obj.getInt("threads"))
     o.threads = static_cast<std::size_t>(std::max<std::int64_t>(1, *v));
-  if (const auto v = obj.getInt("data_width"))
-    o.dataWidth = static_cast<int>(*v);
-  if (const auto v = obj.getInt("max_entry"))
-    o.enumeration.maxEntry = static_cast<int>(*v);
+  if (const auto v = getIntField(obj, "data_width")) o.dataWidth = *v;
+  if (const auto v = getMaxEntry(obj)) o.enumeration.maxEntry = *v;
   if (const auto v = obj.getBool("tamper_rtl_tape")) o.tamperRtlTape = *v;
   if (const auto v = obj.getBool("also_legacy")) o.alsoLegacy = *v;
 }
@@ -305,10 +321,7 @@ std::string cacheStatsJson(const CacheStats& stats) {
   os << "{\"hits\": " << stats.hits << ", \"misses\": " << stats.misses
      << ", \"evictions\": " << stats.evictions << ", \"entries\": "
      << stats.entries << ", \"shards\": " << stats.shards
-     << ", \"mappings\": {\"hits\": " << stats.mappings.hits
-     << ", \"misses\": " << stats.mappings.misses << ", \"evictions\": "
-     << stats.mappings.evictions << ", \"entries\": " << stats.mappings.entries
-     << "}, \"candidates\": {\"hits\": " << cand.hits << ", \"misses\": "
+     << ", \"candidates\": {\"hits\": " << cand.hits << ", \"misses\": "
      << cand.misses << ", \"evictions\": " << cand.evictions
      << ", \"entries\": " << cand.entries << "}}";
   return os.str();

@@ -29,12 +29,9 @@ struct PerfResult {
   std::string str() const;
 };
 
-/// Closed-form performance estimate of `spec` on `config`. When `mappings`
-/// is non-null the tile mapping is fetched through (and inserted into) the
-/// cache; results are bit-identical either way.
+/// Closed-form performance estimate of `spec` on `config`.
 PerfResult estimatePerformance(const stt::DataflowSpec& spec,
-                               const stt::ArrayConfig& config,
-                               stt::MappingCache* mappings = nullptr);
+                               const stt::ArrayConfig& config);
 
 /// Derives the ratio metrics (bandwidthBound, utilization, throughputGops)
 /// from the accumulated counters. Division-safe: zero cycles, zero PEs or a

@@ -162,9 +162,8 @@ TileMapping computeMappingPacked(const SpecBlockSet& set, std::size_t i,
 
 /// Per-query mapping store for block evaluation: one slot per mapping
 /// class (times the backend's operating-point fan-out), each computed once
-/// under a once_flag on first use. Unlike the keyed MappingCache there is
-/// no string key, no lock contention and no eviction — a slot index is the
-/// whole lookup.
+/// under a once_flag on first use. There is no string key, no lock
+/// contention and no eviction — a slot index is the whole lookup.
 class BlockMappingStore {
  public:
   explicit BlockMappingStore(std::size_t slots);

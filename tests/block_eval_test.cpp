@@ -1,17 +1,18 @@
-// Block-path equivalence: the struct-of-arrays evaluation pipeline
-// (ServiceOptions::blockSpecs > 0) must be invisible in every output. Three
-// layers of evidence:
+// Block-path equivalence: the struct-of-arrays evaluation pipeline — the
+// exploration service's only one — must agree with the scalar models in
+// every output. Three layers of evidence:
 //
-//   * Differential: block vs scalar frontiers (and winners) are bit-identical
-//     across the full workload table x {ASIC, FPGA} backends x {1, 8} worker
-//     threads x block sizes, warm or cold, and across mixed scalar/block
-//     traffic sharing one evaluation cache.
+//   * Differential: run() frontiers and winners, and evaluateAll() reports,
+//     are bit-identical to a test-side scalar brute force
+//     (scalar_oracle.hpp) across the full workload table x {ASIC, FPGA}
+//     backends x {1, 8} worker threads x work-unit sizes, warm or cold, and
+//     for batched duplicate traffic sharing one evaluation cache.
 //   * Packed-model unit checks: computeMappingPacked equals computeMapping
 //     field for field, and CostBackend::lowerBoundBlock equals lowerBound
 //     exactly (EXPECT_EQ on doubles), on every enumerated spec checked.
-//   * Accounting: hits + misses + pruned + skipped == designs holds on the
-//     block path too, including deadline-expired partial results where the
-//     whole untouched remainder counts as skipped.
+//   * Accounting: hits + misses + pruned + skipped == designs holds,
+//     including deadline-expired partial results where the whole untouched
+//     remainder counts as skipped.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -19,6 +20,7 @@
 
 #include "cost/backend.hpp"
 #include "driver/explore_service.hpp"
+#include "scalar_oracle.hpp"
 #include "stt/block.hpp"
 #include "stt/enumerate.hpp"
 #include "stt/mapping.hpp"
@@ -29,6 +31,7 @@ namespace tensorlib::driver {
 namespace {
 
 namespace wl = tensor::workloads;
+using tensorlib::testing::scalarOracle;
 
 void expectSameReport(const DesignReport& a, const DesignReport& b) {
   EXPECT_EQ(a.spec.label(), b.spec.label());
@@ -50,11 +53,16 @@ void expectSameResult(const QueryResult& a, const QueryResult& b) {
   if (a.best) expectSameReport(*a.best, *b.best);
 }
 
-ServiceOptions blockOptions(std::size_t threads, std::size_t blockSpecs) {
+void expectSameReports(const std::vector<DesignReport>& a,
+                       const std::vector<DesignReport>& b) {
+  ASSERT_EQ(a.size(), b.size());
+  for (std::size_t i = 0; i < a.size(); ++i) expectSameReport(a[i], b[i]);
+}
+
+ServiceOptions blockOptions(std::size_t threads, std::size_t workUnitSpecs = 32) {
   ServiceOptions o;
   o.threads = threads;
-  o.workUnitSpecs = 32;  // several units per query even on small spaces
-  o.blockSpecs = blockSpecs;
+  o.workUnitSpecs = workUnitSpecs;  // 32: several units even on small spaces
   return o;
 }
 
@@ -91,29 +99,29 @@ std::shared_ptr<const std::vector<stt::DataflowSpec>> enumerateSpecs(
 
 // --- the differential satellite ---------------------------------------------
 
-TEST(BlockDifferential, FrontiersBitIdenticalToScalarAcrossTable) {
+TEST(BlockDifferential, FrontiersBitIdenticalToScalarOracleAcrossTable) {
   for (const auto& w : wl::allWorkloads()) {
     for (const auto backend :
          {cost::BackendKind::Asic, cost::BackendKind::Fpga}) {
       const ExploreQuery q = workloadQuery(w, backend);
+      const auto oracle = scalarOracle(q);
 
-      // Scalar reference: blockSpecs = 0 keeps the per-candidate path.
-      ExplorationService scalar(blockOptions(1, 0));
-      const QueryResult reference = scalar.run(q);
-      expectExactAccounting(reference);
-
-      // Block sizes that exercise degenerate one-spec blocks, blocks that
-      // straddle nothing (>= workUnitSpecs), and the bench-gated setting.
-      for (const std::size_t blockSpecs : {std::size_t{1}, std::size_t{64}}) {
+      // Work-unit sizes that force degenerate one-spec units (and so
+      // one-spec windows) and several multi-window units.
+      for (const std::size_t unitSpecs : {std::size_t{1}, std::size_t{32}}) {
         for (const std::size_t threads : {std::size_t{1}, std::size_t{8}}) {
-          ExplorationService block(blockOptions(threads, blockSpecs));
-          const QueryResult result = block.run(q);
           SCOPED_TRACE(w.name + " backend=" + cost::backendKindName(backend) +
-                       " blockSpecs=" + std::to_string(blockSpecs) +
+                       " workUnitSpecs=" + std::to_string(unitSpecs) +
                        " threads=" + std::to_string(threads));
-          expectSameResult(reference, result);
-          expectExactAccounting(result);
-          EXPECT_EQ(result.cache.skipped, 0u);
+          ExplorationService block(blockOptions(threads, unitSpecs));
+          const QueryResult cold = block.run(q);
+          expectSameResult(oracle.result, cold);
+          expectExactAccounting(cold);
+          EXPECT_EQ(cold.cache.skipped, 0u);
+          expectSameReports(oracle.all, block.evaluateAll(q));
+          const QueryResult warm = block.run(q);
+          expectSameResult(oracle.result, warm);
+          expectExactAccounting(warm);
         }
       }
     }
@@ -125,43 +133,41 @@ TEST(BlockDifferential, WarmRunsStayBitIdentical) {
   // path's output must not care.
   ExploreQuery q(wl::gemm(8, 8, 8));
   q.array.rows = q.array.cols = 4;
+  const auto oracle = scalarOracle(q);
 
-  ExplorationService scalar(blockOptions(1, 0));
-  const auto reference = scalar.run(q);
-
-  ExplorationService block(blockOptions(1, 64));
+  ExplorationService block(blockOptions(1));
   const auto cold = block.run(q);
   (void)block.evaluateAll(q);  // prime the cache with every evaluation
   const auto warm = block.run(q);
 
-  expectSameResult(reference, cold);
-  expectSameResult(reference, warm);
+  expectSameResult(oracle.result, cold);
+  expectSameResult(oracle.result, warm);
   EXPECT_EQ(warm.cache.pruned, 0u);  // everything cached: peek wins first
   expectExactAccounting(warm);
 }
 
-TEST(BlockDifferential, MixedScalarAndBlockTrafficSharesOneCache) {
-  // Entries written by the block path must read back identically on the
-  // scalar path (and vice versa): evaluateAll on a block-warmed service has
-  // to match a fresh scalar service's evaluateAll report for report.
+TEST(BlockDifferential, EvaluateAllMatchesScalarOracleWarmAndCold) {
+  // evaluateAll must report exactly the scalar models' values whether its
+  // entries are computed fresh or were written by run()'s windows.
   ExploreQuery q(wl::attention(8, 8, 8));
   q.array.rows = q.array.cols = 4;
+  const auto oracle = scalarOracle(q);
 
-  ExplorationService block(blockOptions(1, 16));
-  (void)block.run(q);  // warm the cache through forceBlock
-  const auto viaBlockCache = block.evaluateAll(q);
+  ExplorationService cold(blockOptions(1));
+  expectSameReports(oracle.all, cold.evaluateAll(q));
 
-  ExplorationService scalar(blockOptions(1, 0));
-  const auto viaScalar = scalar.evaluateAll(q);
+  ExplorationService warmed(blockOptions(1));
+  (void)warmed.run(q);  // warm part of the cache through the windows
+  expectSameReports(oracle.all, warmed.evaluateAll(q));
 
-  ASSERT_EQ(viaBlockCache.size(), viaScalar.size());
-  for (std::size_t i = 0; i < viaScalar.size(); ++i)
-    expectSameReport(viaBlockCache[i], viaScalar[i]);
+  // evaluate() on single specs reads the same values.
+  for (std::size_t i = 0; i < oracle.all.size(); i += 7)
+    expectSameReport(oracle.all[i], cold.evaluate(q, oracle.all[i].spec));
 }
 
-TEST(BlockDifferential, BatchedQueriesMatchScalarBatch) {
-  // runBatch with duplicates and both backends: positional results from the
-  // block pipeline equal the scalar pipeline's.
+TEST(BlockDifferential, BatchedQueriesMatchScalarOracle) {
+  // runBatch with duplicates and both backends: positional results equal
+  // the scalar oracle's.
   std::vector<ExploreQuery> batch;
   for (const auto backend :
        {cost::BackendKind::Asic, cost::BackendKind::Fpga}) {
@@ -172,14 +178,12 @@ TEST(BlockDifferential, BatchedQueriesMatchScalarBatch) {
     batch.push_back(q);  // duplicate: exercises shared once-flag entries
   }
 
-  ExplorationService scalar(blockOptions(8, 0));
   ExplorationService block(blockOptions(8, 16));
-  const auto expected = scalar.runBatch(batch);
   const auto actual = block.runBatch(batch);
-  ASSERT_EQ(expected.size(), actual.size());
-  for (std::size_t i = 0; i < expected.size(); ++i) {
+  ASSERT_EQ(batch.size(), actual.size());
+  for (std::size_t i = 0; i < batch.size(); ++i) {
     SCOPED_TRACE("query " + std::to_string(i));
-    expectSameResult(expected[i], actual[i]);
+    expectSameResult(scalarOracle(batch[i]).result, actual[i]);
     expectExactAccounting(actual[i]);
   }
 }
@@ -197,11 +201,11 @@ TEST_F(BlockDeadlineTest, ExpiryCountsWholeRemainderAsSkipped) {
   ExploreQuery q(wl::gemm(5, 5, 5));
   q.array.rows = q.array.cols = 4;
   q.deadlineMs = 1;
-  ExplorationService service(blockOptions(1, 8));
+  ExplorationService service(blockOptions(1));
   const auto r = service.run(q);
   EXPECT_TRUE(r.timedOut);
   EXPECT_GT(r.cache.skipped, 0u);
-  // The deadline is only observed at block boundaries, so the whole
+  // The deadline is only observed at window boundaries, so the whole
   // untouched remainder of every unit lands in `skipped` and the bucket
   // invariant survives the partial result.
   expectExactAccounting(r);
@@ -210,17 +214,12 @@ TEST_F(BlockDeadlineTest, ExpiryCountsWholeRemainderAsSkipped) {
 TEST_F(BlockDeadlineTest, GenerousDeadlineChangesNothing) {
   ExploreQuery q(wl::gemm(5, 5, 5));
   q.array.rows = q.array.cols = 4;
-
-  ExplorationService scalar(blockOptions(1, 0));
-  const auto reference = scalar.run(q);
-
-  ExploreQuery bounded = q;
-  bounded.deadlineMs = 60'000;
-  ExplorationService block(blockOptions(1, 8));
-  const auto r = block.run(bounded);
+  q.deadlineMs = 60'000;
+  ExplorationService block(blockOptions(1));
+  const auto r = block.run(q);
   EXPECT_FALSE(r.timedOut);
   EXPECT_EQ(r.cache.skipped, 0u);
-  expectSameResult(reference, r);
+  expectSameResult(scalarOracle(q).result, r);
   expectExactAccounting(r);
 }
 

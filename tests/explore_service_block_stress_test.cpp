@@ -1,9 +1,10 @@
 // Block-pipeline stress (runs under TSan via the service-stress label):
 // repeated mixed batches — both backends, duplicate queries, a
 // deadline-bounded query — through the struct-of-arrays path at 8 workers
-// must stay bit-identical run to run and match the scalar pipeline, while
-// every query keeps exact cache-bucket accounting. Concurrent submit()
-// traffic shares the same caches without racing the batch path.
+// must stay bit-identical run to run and match the scalar oracle
+// (scalar_oracle.hpp), while every query keeps exact cache-bucket
+// accounting. Concurrent submit() traffic shares the same caches without
+// racing the batch path.
 #include <gtest/gtest.h>
 
 #include <future>
@@ -12,18 +13,19 @@
 
 #include "cost/backend.hpp"
 #include "driver/explore_service.hpp"
+#include "scalar_oracle.hpp"
 #include "tensor/workloads.hpp"
 
 namespace tensorlib::driver {
 namespace {
 
 namespace wl = tensor::workloads;
+using tensorlib::testing::scalarOracle;
 
-ServiceOptions stressOptions(std::size_t threads, std::size_t blockSpecs) {
+ServiceOptions stressOptions(std::size_t workUnitSpecs) {
   ServiceOptions o;
-  o.threads = threads;
-  o.workUnitSpecs = 32;
-  o.blockSpecs = blockSpecs;
+  o.threads = 8;
+  o.workUnitSpecs = workUnitSpecs;
   return o;
 }
 
@@ -64,27 +66,30 @@ std::vector<ExploreQuery> mixedBatch() {
 
 TEST(BlockStress, RepeatedMixedBatchesStayBitIdentical) {
   const auto batch = mixedBatch();
+  std::vector<QueryResult> reference;
+  for (const auto& q : batch) reference.push_back(scalarOracle(q).result);
 
-  ExplorationService scalar(stressOptions(1, 0));
-  const auto reference = scalar.runBatch(batch);
-
-  for (int round = 0; round < 3; ++round) {
-    ExplorationService block(stressOptions(8, 16));
-    const auto results = block.runBatch(batch);
-    ASSERT_EQ(results.size(), reference.size());
-    for (std::size_t i = 0; i < results.size(); ++i) {
-      SCOPED_TRACE("round " + std::to_string(round) + " query " +
-                   std::to_string(i));
-      EXPECT_FALSE(results[i].timedOut);
-      expectSameResult(reference[i], results[i]);
-      expectExactAccounting(results[i]);
+  // One-spec work units (so one-spec windows) and multi-window units.
+  for (const std::size_t unitSpecs : {std::size_t{1}, std::size_t{32}}) {
+    for (int round = 0; round < 3; ++round) {
+      ExplorationService block(stressOptions(unitSpecs));
+      const auto results = block.runBatch(batch);
+      ASSERT_EQ(results.size(), reference.size());
+      for (std::size_t i = 0; i < results.size(); ++i) {
+        SCOPED_TRACE("workUnitSpecs " + std::to_string(unitSpecs) +
+                     " round " + std::to_string(round) + " query " +
+                     std::to_string(i));
+        EXPECT_FALSE(results[i].timedOut);
+        expectSameResult(reference[i], results[i]);
+        expectExactAccounting(results[i]);
+      }
     }
   }
 }
 
 TEST(BlockStress, WarmRepeatOnOneServiceStaysBitIdentical) {
   const auto batch = mixedBatch();
-  ExplorationService block(stressOptions(8, 16));
+  ExplorationService block(stressOptions(16));
   const auto cold = block.runBatch(batch);
   const auto warm = block.runBatch(batch);
   ASSERT_EQ(cold.size(), warm.size());
@@ -96,8 +101,7 @@ TEST(BlockStress, WarmRepeatOnOneServiceStaysBitIdentical) {
 }
 
 TEST(BlockStress, ConcurrentSubmitsShareCachesSafely) {
-  ExplorationService scalar(stressOptions(1, 0));
-  ExplorationService block(stressOptions(8, 16));
+  ExplorationService block(stressOptions(16));
 
   std::vector<ExploreQuery> queries;
   queries.push_back(query(wl::gemm(5, 5, 5), cost::BackendKind::Asic));
@@ -111,7 +115,7 @@ TEST(BlockStress, ConcurrentSubmitsShareCachesSafely) {
   for (std::size_t i = 0; i < queries.size(); ++i) {
     SCOPED_TRACE("query " + std::to_string(i));
     const QueryResult result = futures[i].get();
-    expectSameResult(scalar.run(queries[i]), result);
+    expectSameResult(scalarOracle(queries[i]).result, result);
     expectExactAccounting(result);
   }
 }

@@ -182,6 +182,78 @@ TEST_F(SnapshotTest, VersionBumpColdStarts) {
   EXPECT_EQ(result.evalEntries, 0u);
 }
 
+TEST_F(SnapshotTest, VersionOneFileWithMappingSectionColdStarts) {
+  // A file in the retired version-1 layout, which carried a tile-mapping
+  // memo section between the candidate lists and the evaluations. It is
+  // refused on its version before any section is decoded, and the service
+  // answers as one that never saw a snapshot.
+  snap::Writer payload;
+  payload.str(fingerprint_);
+  payload.u64(0);  // candidate-matrix lists
+  payload.u64(1);  // tile mappings (version 1 only)
+  payload.str("mapping-key");
+  payload.u64(3);  // fullTile
+  for (int i = 0; i < 3; ++i) payload.i64(4);
+  for (int i = 0; i < 4; ++i) payload.i64(1);  // spans, replication, outer
+  payload.u64(0);  // tiles
+  payload.u64(0);  // evaluations
+  snap::Writer header;
+  header.u32(1);
+  header.u64(payload.buffer().size());
+  header.u64(snap::fnv1a(payload.buffer()));
+  writeFile(std::string(snap::kSnapshotMagic, sizeof(snap::kSnapshotMagic)) +
+            header.buffer() + payload.buffer());
+
+  stt::clearCandidateCache();
+  ServiceOptions options;
+  options.threads = 1;
+  ExplorationService service(options);
+  const auto result = service.restoreSnapshot(path_, fingerprint_);
+  EXPECT_EQ(result.status, snap::RestoreStatus::VersionMismatch);
+  EXPECT_NE(result.message.find("version 1"), std::string::npos)
+      << result.message;
+  EXPECT_EQ(result.evalEntries, 0u);
+  EXPECT_EQ(result.candidateLists, 0u);
+  EXPECT_EQ(service.cacheStats().entries, 0u);
+
+  const auto cold = service.runBatch(smallBatch());
+  EXPECT_GT(cold.front().cache.misses, 0u);  // really cold
+  stt::clearCandidateCache();
+  ExplorationService pristine(options);
+  expectSameResults(pristine.runBatch(smallBatch()), cold);
+}
+
+TEST_F(SnapshotTest, VersionTwoRoundTripIsBitIdenticalAtOneAndEightThreads) {
+  const auto cold = writeWarmSnapshot(fingerprint_);
+  const std::string bytes = readFile();
+  ASSERT_GT(bytes.size(), 12u);
+  EXPECT_EQ(snap::kSnapshotVersion, 2u);
+  EXPECT_EQ(static_cast<unsigned char>(bytes[8]), 2u);  // version, LE
+
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{8}}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    stt::clearCandidateCache();
+    ServiceOptions options;
+    options.threads = threads;
+    ExplorationService restored(options);
+    const auto result = restored.restoreSnapshot(path_, fingerprint_);
+    ASSERT_TRUE(result.restored()) << result.message;
+    EXPECT_GT(result.evalEntries, 0u);
+    // Saving the restored state reproduces the file byte for byte...
+    const std::string again = path_ + ".again";
+    ASSERT_TRUE(restored.saveSnapshot(again, fingerprint_));
+    {
+      std::ifstream in(again, std::ios::binary);
+      const std::string copy((std::istreambuf_iterator<char>(in)),
+                             std::istreambuf_iterator<char>());
+      EXPECT_EQ(copy, bytes);
+    }
+    std::remove(again.c_str());
+    // ...and the warm answers equal the cold ones.
+    expectSameResults(cold, restored.runBatch(smallBatch()));
+  }
+}
+
 TEST_F(SnapshotTest, BadMagicIsCorrupt) {
   writeWarmSnapshot(fingerprint_);
   std::string bytes = readFile();

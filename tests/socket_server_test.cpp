@@ -21,6 +21,7 @@
 #include "driver/explore_client.hpp"
 #include "driver/pareto.hpp"
 #include "driver/wire.hpp"
+#include "support/error.hpp"
 #include "support/fault.hpp"
 #include "support/jsonl.hpp"
 #include "support/net.hpp"
@@ -374,6 +375,34 @@ TEST(SocketServer, MalformedLineGetsStructuredErrorAndConnectionSurvives) {
   ASSERT_TRUE(response.has_value());
   EXPECT_NE(response->find("\"frontier\""), std::string::npos);
   EXPECT_EQ(f.server->stats().parseErrors, 1u);
+
+  // Integers that do not fit the field are refused, never wrapped into a
+  // different, valid-looking query (4294967297 would read as max_entry 1,
+  // 4294967312 as data_width 16), and a max_entry below 1 is no space.
+  const char* outOfRange[] = {
+      R"({"workload": "gemm", "m": 8, "n": 8, "k": 8, "max_entry": 4294967297})",
+      R"({"workload": "gemm", "m": 8, "n": 8, "k": 8, "max_entry": 0})",
+      R"({"workload": "gemm", "m": 8, "n": 8, "k": 8, "max_entry": -1})",
+      R"({"workload": "gemm", "m": 8, "n": 8, "k": 8, "data_width": 4294967312})",
+      R"({"network": "mlp-3", "max_entry": 0})",
+      R"({"network": "mlp-3", "data_width": -4294967296})",
+      R"({"model_conformance": "mlp-3", "max_entry": 4294967297})",
+      R"({"model_conformance": "mlp-3", "data_width": 4294967312})",
+  };
+  for (const char* bad : outOfRange) {
+    SCOPED_TRACE(bad);
+    EXPECT_THROW(wire::parseRequest(support::parseJsonLine(bad)), Error);
+    const auto reply = client.request(bad);
+    ASSERT_TRUE(reply.has_value());
+    EXPECT_NE(reply->find("\"error\""), std::string::npos) << *reply;
+    EXPECT_NE(reply->find("out of range"), std::string::npos) << *reply;
+  }
+  EXPECT_EQ(f.server->stats().parseErrors, 1u + std::size(outOfRange));
+  // In-range values at the edges still parse.
+  const auto edge = wire::parseRequest(support::parseJsonLine(
+      R"({"workload": "gemm", "max_entry": 1, "data_width": 2147483647})"));
+  EXPECT_EQ(edge.query->enumeration.maxEntry, 1);
+  EXPECT_EQ(edge.query->dataWidth, 2147483647);
 }
 
 }  // namespace

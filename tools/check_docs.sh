@@ -9,6 +9,10 @@
 #   3. Sync check     — the example JSONL files embedded in
 #                       docs/PROTOCOL.md match the committed files in
 #                       examples/ line for line.
+#   4. Knob check     — every field of struct ServiceOptions has a row in
+#                       docs/TUNING.md's ServiceOptions table, and every
+#                       row names a field that exists (deleted knobs cannot
+#                       leave stale rows, new ones cannot land undocumented).
 #
 # Usage: tools/check_docs.sh   (from anywhere; exits 1 on any failure)
 set -u
@@ -97,6 +101,27 @@ grep -E '^\{"(model|layer|workload|network)": .*\}$' docs/PROTOCOL.md |
     fi
   done
 if [ -e .check_docs_failed ]; then rm -f .check_docs_failed; fail=1; fi
+
+# --- 4. ServiceOptions fields and TUNING.md's table agree -------------------
+options_header=src/driver/explore_service.hpp
+fields="$(awk '/^struct ServiceOptions \{/ { inside = 1; next }
+               inside && /^\};/ { inside = 0 }
+               inside' "$options_header" |
+  grep -vE '^[[:space:]]*//' |
+  sed -nE 's/^[[:space:]]*[A-Za-z_][A-Za-z0-9_:<>, ]*[[:space:]]+([A-Za-z_][A-Za-z0-9_]*)[[:space:]]*(=[^;]*)?;.*$/\1/p')"
+rows="$(awk '/^## `driver::ServiceOptions`/ { inside = 1; next }
+             inside && /^## / { inside = 0 }
+             inside' docs/TUNING.md |
+  sed -nE 's/^\| `([A-Za-z_][A-Za-z0-9_]*)` \|.*$/\1/p')"
+[ -z "$fields" ] && err "found no ServiceOptions fields in $options_header"
+for field in $fields; do
+  echo "$rows" | grep -qx -- "$field" ||
+    err "ServiceOptions::$field has no row in docs/TUNING.md"
+done
+for row in $rows; do
+  echo "$fields" | grep -qx -- "$row" ||
+    err "docs/TUNING.md documents ServiceOptions::$row, which $options_header does not declare"
+done
 
 if [ "$fail" -ne 0 ]; then
   echo "check_docs: FAILED" >&2

@@ -26,8 +26,8 @@
 //
 // Batch mode runs the whole stream against ONE ExplorationService: plain
 // queries as one batch, network queries through a NetworkExplorer borrowing
-// the same service, so every request shares enumerations, design-point
-// evaluations and the tile-mapping memo. Output is JSON lines, one result
+// the same service, so every request shares enumerations and design-point
+// evaluations. Output is JSON lines, one result
 // per request in input order, plus a trailing batch summary with
 // service-wide cache stats. A malformed line yields a structured
 // {"query": i, "error": "..."} response and the batch continues.
@@ -93,11 +93,11 @@ int usage() {
 void reportRestore(const driver::ExplorationDaemon& daemon) {
   const auto& restore = daemon.restore();
   std::fprintf(stderr,
-               "explore_server: serving (restore %s: %zu evals, %zu mappings, "
+               "explore_server: serving (restore %s: %zu evals, "
                "%zu candidate lists%s%s)\n",
                driver::snapshot::restoreStatusName(restore.status).c_str(),
-               restore.evalEntries, restore.mappingEntries,
-               restore.candidateLists, restore.message.empty() ? "" : " — ",
+               restore.evalEntries, restore.candidateLists,
+               restore.message.empty() ? "" : " — ",
                restore.message.c_str());
 }
 

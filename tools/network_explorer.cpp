@@ -6,7 +6,7 @@
 //   network_explorer --list-models
 //
 // Runs every (candidate array, layer) pair as ONE ExplorationService batch
-// (shared evaluation cache, tile-mapping memo, lower-bound pruning), then
+// (shared evaluation cache, packed evaluation, lower-bound pruning), then
 // composes the per-layer Pareto frontiers under the shared-array execution
 // model: network cycles = sum over layers, network power/area = max over
 // the chosen per-layer designs. Prints the network frontier with each
