@@ -35,6 +35,19 @@ std::int64_t checkedAdd(std::int64_t a, std::int64_t b) {
   return result;
 }
 
+std::int64_t checkedSub(std::int64_t a, std::int64_t b) {
+  std::int64_t result = 0;
+  TL_CHECK(!__builtin_sub_overflow(a, b, &result), "int64 overflow in subtraction");
+  return result;
+}
+
+std::optional<std::int64_t> exactQuotient(std::int64_t a, std::int64_t b) {
+  TL_CHECK(b != 0, "int64 division by zero");
+  if (b == -1) return checkedSub(0, a);
+  if (a % b != 0) return std::nullopt;
+  return a / b;
+}
+
 Rational::Rational(std::int64_t num, std::int64_t den) : num_(num), den_(den) {
   TL_CHECK(den != 0, "Rational with zero denominator");
   normalize();

@@ -1,14 +1,16 @@
-// Exact rational arithmetic over int64 numerator/denominator.
+// Exact rational arithmetic over int64 numerator/denominator, plus the
+// overflow-checked int64 helpers (checkedMul/Add/Sub, exactQuotient) that
+// the fraction-free kernels in linalg/solve.hpp are built on.
 //
-// All STT analysis (matrix inverses, nullspaces, reuse bases) is done with
-// exact rationals so that dataflow classification is never corrupted by
-// floating-point noise. Magnitudes stay tiny (3x3 matrices with entries in
-// {-1,0,1} and small loop bounds), but every operation still checks for
-// overflow to fail loudly rather than silently mis-classify.
+// The STT analysis never touches floating point, so dataflow classification
+// cannot be corrupted by rounding. Magnitudes stay tiny (3x3 matrices with
+// entries in {-1,0,1} and small loop bounds), but every operation still
+// checks for overflow to fail loudly rather than silently mis-classify.
 #pragma once
 
 #include <cstdint>
 #include <iosfwd>
+#include <optional>
 #include <string>
 
 namespace tensorlib::linalg {
@@ -73,5 +75,10 @@ std::int64_t lcm64(std::int64_t a, std::int64_t b);
 std::int64_t checkedMul(std::int64_t a, std::int64_t b);
 /// Addition with overflow detection (throws tensorlib::Error).
 std::int64_t checkedAdd(std::int64_t a, std::int64_t b);
+/// Subtraction with overflow detection (throws tensorlib::Error).
+std::int64_t checkedSub(std::int64_t a, std::int64_t b);
+/// a / b when b divides a, nullopt otherwise. Throws tensorlib::Error when
+/// b == 0 or the quotient overflows (INT64_MIN / -1).
+std::optional<std::int64_t> exactQuotient(std::int64_t a, std::int64_t b);
 
 }  // namespace tensorlib::linalg

@@ -48,21 +48,6 @@ linalg::IntMatrix canonicalize(linalg::IntMatrix m) {
   return m;
 }
 
-int nonzeroCount(const linalg::IntMatrix& m) {
-  int n = 0;
-  for (std::size_t i = 0; i < 3; ++i)
-    for (std::size_t j = 0; j < 3; ++j)
-      if (m.at(i, j) != 0) ++n;
-  return n;
-}
-
-std::int64_t absSum(const linalg::IntMatrix& m) {
-  std::int64_t s = 0;
-  for (std::size_t i = 0; i < 3; ++i)
-    for (std::size_t j = 0; j < 3; ++j) s += std::abs(m.at(i, j));
-  return s;
-}
-
 std::array<std::int64_t, 9> flat(const linalg::IntMatrix& m) {
   std::array<std::int64_t, 9> out{};
   for (std::size_t i = 0; i < 3; ++i)
@@ -70,18 +55,39 @@ std::array<std::int64_t, 9> flat(const linalg::IntMatrix& m) {
   return out;
 }
 
-/// Simplest-first total order shared by both engines; the flat() tie-break
-/// makes the sorted candidate list independent of generation order.
-bool simplerThan(const linalg::IntMatrix& a, const linalg::IntMatrix& b) {
-  const int na = nonzeroCount(a), nb = nonzeroCount(b);
-  if (na != nb) return na < nb;
-  const std::int64_t sa = absSum(a), sb = absSum(b);
-  if (sa != sb) return sa < sb;
-  return flat(a) < flat(b);
+/// Sorts simplest-first, the total order shared by both engines: fewest
+/// nonzeros, then smallest |entry| sum, then flat() — the tie-break makes the
+/// sorted candidate list independent of generation order. The first two
+/// keys are computed once per matrix, not once per comparison; ties read
+/// flat() from the matrices instead of storing it, which keeps the key array
+/// at 24 bytes per candidate.
+void sortSimplestFirst(std::vector<linalg::IntMatrix>& matrices) {
+  struct Keyed {
+    int nonzeros;
+    std::int64_t absSum;
+    std::size_t index;
+  };
+  std::vector<Keyed> keyed(matrices.size());
+  for (std::size_t i = 0; i < matrices.size(); ++i) {
+    keyed[i] = {0, 0, i};
+    for (std::int64_t v : flat(matrices[i])) {
+      keyed[i].nonzeros += v != 0 ? 1 : 0;
+      keyed[i].absSum += std::abs(v);
+    }
+  }
+  std::sort(keyed.begin(), keyed.end(), [&](const Keyed& a, const Keyed& b) {
+    if (a.nonzeros != b.nonzeros) return a.nonzeros < b.nonzeros;
+    if (a.absSum != b.absSum) return a.absSum < b.absSum;
+    return flat(matrices[a.index]) < flat(matrices[b.index]);
+  });
+  std::vector<linalg::IntMatrix> sorted;
+  sorted.reserve(matrices.size());
+  for (const Keyed& k : keyed) sorted.push_back(std::move(matrices[k.index]));
+  matrices = std::move(sorted);
 }
 
 /// Reference engine (the original implementation): decode every matrix in
-/// the (2*maxEntry+1)^9 cube, filter by exact rational determinant,
+/// the (2*maxEntry+1)^9 cube, filter by exact determinant,
 /// canonicalize, dedupe through a set. Kept behind
 /// EnumerationOptions::useLegacyEnumeration for differential tests and as
 /// the perf baseline in bench/perf_regression.cpp.
@@ -110,7 +116,7 @@ std::vector<linalg::IntMatrix> legacyCandidateMatrices(
     if (!seen.insert(flat(m)).second) continue;
     out.push_back(std::move(m));
   }
-  std::sort(out.begin(), out.end(), simplerThan);
+  sortSimplestFirst(out);
   return out;
 }
 
@@ -172,7 +178,7 @@ std::vector<linalg::IntMatrix> directCandidateMatrices(
       }
     }
   }
-  std::sort(out.begin(), out.end(), simplerThan);
+  sortSimplestFirst(out);
   return out;
 }
 
@@ -284,40 +290,37 @@ class HashSet64 {
   std::size_t size_ = 0;
 };
 
-/// T-independent slice of analyzeReuse: a tensor's reuse nullspace basis
-/// depends only on the restricted access, so one bound-first sweep computes
-/// it once per tensor instead of once per (tensor, candidate).
-struct TensorReuseBasis {
-  std::size_t rank = 0;
-  std::array<std::array<std::int64_t, 3>, 3> cols{};  ///< basis columns
-};
-
 std::int64_t gcd3(std::int64_t a, std::int64_t b, std::int64_t c) {
   return std::gcd(std::gcd(a, b), c);
 }
 
-/// classify(analyzeReuse(access, T)) without materializing either: the
+/// classify(analyzeReuse(basis, T)) without materializing either: the
 /// same arithmetic on the same integers, specialized to the packed-model
 /// read set (class tag, |primitive direction| spatial components, |exact
-/// dt| for Systolic). Rank-1 zero patterns survive primitivization and the
-/// rank-2 tests are rational-span facts (inSpan reduces to the 2x2
+/// dt| for Systolic). `basis` is the context's T-independent reuse basis
+/// (SpecContext::reuseBases). Rank-1 zero patterns survive primitivization
+/// and the rank-2 tests are rational-span facts (inSpan reduces to the 2x2
 /// determinant below for independent columns), so every branch lands on
 /// exactly the class classify() assigns — pinned by the differential tests.
-void classifyFast(const linalg::IntMatrix& m, const TensorReuseBasis& basis,
+void classifyFast(const linalg::IntMatrix& m, const linalg::IntMatrix& basis,
                   std::uint8_t& classTag, std::int64_t* absDir,
                   std::int64_t& systolicDt) {
   absDir[0] = 0;
   absDir[1] = 0;
   systolicDt = 0;
-  switch (basis.rank) {
+  // Column j of the reuse basis mapped through T.
+  const auto mapped = [&](std::size_t j, std::int64_t* e) {
+    for (std::size_t i = 0; i < 3; ++i)
+      e[i] = m.at(i, 0) * basis.at(0, j) + m.at(i, 1) * basis.at(1, j) +
+             m.at(i, 2) * basis.at(2, j);
+  };
+  switch (basis.cols()) {
     case 0:
       classTag = static_cast<std::uint8_t>(DataflowClass::Unicast);
       return;
     case 1: {
       std::int64_t e[3];
-      for (std::size_t i = 0; i < 3; ++i)
-        e[i] = m.at(i, 0) * basis.cols[0][0] + m.at(i, 1) * basis.cols[0][1] +
-               m.at(i, 2) * basis.cols[0][2];
+      mapped(0, e);
       const bool spatialZero = e[0] == 0 && e[1] == 0;
       const bool timeZero = e[2] == 0;
       DataflowClass cls;
@@ -337,12 +340,8 @@ void classifyFast(const linalg::IntMatrix& m, const TensorReuseBasis& basis,
     }
     case 2: {
       std::int64_t e0[3], e1[3];
-      for (std::size_t i = 0; i < 3; ++i) {
-        e0[i] = m.at(i, 0) * basis.cols[0][0] + m.at(i, 1) * basis.cols[0][1] +
-                m.at(i, 2) * basis.cols[0][2];
-        e1[i] = m.at(i, 0) * basis.cols[1][0] + m.at(i, 1) * basis.cols[1][1] +
-                m.at(i, 2) * basis.cols[1][2];
-      }
+      mapped(0, e0);
+      mapped(1, e1);
       if (e0[2] == 0 && e1[2] == 0)
         classTag = static_cast<std::uint8_t>(DataflowClass::Broadcast2D);
       else if (e0[0] * e1[1] - e0[1] * e1[0] == 0)
@@ -583,25 +582,17 @@ BoundFirstStats enumerateBoundFirst(const SpecContextPtr& context,
   TL_CHECK(T >= 1 && T <= kBlockMaxTensors,
            "bound-first enumeration: tensor count out of range");
 
-  std::array<TensorReuseBasis, kBlockMaxTensors> bases;
-  for (std::size_t k = 0; k < T; ++k) {
-    const linalg::IntMatrix b =
-        linalg::nullspaceBasis(context->restrictedAccesses[k].coeff());
-    TL_CHECK(b.cols() <= 3, "reuse nullspace rank out of range");
-    bases[k].rank = b.cols();
-    for (std::size_t j = 0; j < b.cols(); ++j)
-      for (std::size_t i = 0; i < 3; ++i) bases[k].cols[j][i] = b.at(i, j);
-  }
+  const std::vector<linalg::IntMatrix>& bases = context->reuseBases;
 
   // The spec-level filters are selection-level facts here: Unicast (rank 0)
   // and FullReuse (rank 3) are transform-independent, so either every
   // candidate of this selection passes them or none does.
   if (options.dropFullReuse)
     for (std::size_t k = 0; k < T; ++k)
-      if (bases[k].rank == 3) return stats;
-  if (options.dropAllUnicast && bases[T - 1].rank == 0)
+      if (bases[k].cols() == 3) return stats;
+  if (options.dropAllUnicast && bases[T - 1].cols() == 0)
     for (std::size_t k = 0; k + 1 < T; ++k)
-      if (bases[k].rank == 0) return stats;
+      if (bases[k].cols() == 0) return stats;
 
   const CandidateList candidates = candidateMatrices(options);
   PartialTransform partial;

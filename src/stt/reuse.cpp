@@ -4,12 +4,11 @@
 
 namespace tensorlib::stt {
 
-ReuseAnalysis analyzeReuse(const tensor::AffineAccess& access,
+ReuseAnalysis analyzeReuse(const linalg::IntMatrix& loopBasis,
                            const SpaceTimeTransform& t) {
-  TL_CHECK(access.loopCount() == 3,
-           "analyzeReuse expects an access restricted to the 3 selected loops");
+  TL_CHECK(loopBasis.rows() == 3, "analyzeReuse expects a 3-row loop basis");
   ReuseAnalysis out;
-  out.loopBasis = linalg::nullspaceBasis(access.coeff());
+  out.loopBasis = loopBasis;
   out.rank = out.loopBasis.cols();
 
   out.spaceTimeBasis = linalg::IntMatrix(3, out.rank);

@@ -12,7 +12,6 @@
 #include "linalg/matrix.hpp"
 #include "linalg/solve.hpp"
 #include "stt/transform.hpp"
-#include "tensor/access.hpp"
 
 namespace tensorlib::stt {
 
@@ -33,9 +32,13 @@ struct ReuseAnalysis {
   std::size_t rank = 0;
 };
 
-/// Computes the reuse subspace of `access` (already restricted to the three
-/// selected loops) under transform `t`.
-ReuseAnalysis analyzeReuse(const tensor::AffineAccess& access,
+/// Computes the reuse subspace under transform `t` of an access restricted
+/// to the three selected loops, given that access's nullspace basis
+/// (linalg::nullspaceBasis of its coefficients: 3 x r, primitive columns).
+/// The basis does not depend on T, so a sweep over many transforms computes
+/// it once per selection (SpecContext::reuseBases) and only the mapping
+/// through T runs per candidate.
+ReuseAnalysis analyzeReuse(const linalg::IntMatrix& loopBasis,
                            const SpaceTimeTransform& t);
 
 }  // namespace tensorlib::stt

@@ -2,6 +2,7 @@
 
 #include <sstream>
 
+#include "linalg/solve.hpp"
 #include "support/error.hpp"
 
 namespace tensorlib::stt {
@@ -28,8 +29,10 @@ struct Hash64 {
 
 SpecContext::SpecContext(tensor::TensorAlgebra a, LoopSelection s)
     : algebra(std::move(a)), selection(std::move(s)) {
-  for (const tensor::TensorRef* ref : algebra.tensorsInLabelOrder())
+  for (const tensor::TensorRef* ref : algebra.tensorsInLabelOrder()) {
     restrictedAccesses.push_back(ref->access.restrictedTo(selection.indices()));
+    reuseBases.push_back(linalg::nullspaceBasis(restrictedAccesses.back().coeff()));
+  }
 }
 
 SpecContextPtr makeSpecContext(tensor::TensorAlgebra algebra,
@@ -72,13 +75,10 @@ std::string DataflowSpec::signature() const {
     } else if (t.dataflow.reuseRank >= 2) {
       // Canonicalize the plane: row-reduce the basis transpose so any basis
       // of the same subspace yields the same string.
-      const auto red = linalg::rref(
-          linalg::toRational(t.dataflow.reuseBasis.transposed()));
       os << ":";
-      for (std::size_t i = 0; i < red.rank; ++i) {
-        linalg::RatVector row = red.matrix.row(i);
-        os << linalg::str(linalg::clearDenominators(row));
-      }
+      for (const auto& row :
+           linalg::canonicalRowBasis(t.dataflow.reuseBasis.transposed()))
+        os << linalg::str(row);
     }
   }
   return os.str();
@@ -87,7 +87,8 @@ std::string DataflowSpec::signature() const {
 std::uint64_t DataflowSpec::signatureHash() const {
   // Hashes exactly the canonical content signature() renders: the selection
   // plus, per tensor in label order, the dataflow class and (rank-1) the
-  // primitive direction / (rank-2+) the RREF-canonicalized reuse basis.
+  // primitive direction / (rank-2+) the canonical row basis of the reuse
+  // plane (primitive RREF rows).
   Hash64 h;
   for (std::size_t idx : selection().indices()) h.add(idx);
   for (const auto& t : tensors_) {
@@ -96,12 +97,9 @@ std::uint64_t DataflowSpec::signatureHash() const {
     if (t.dataflow.reuseRank == 1) {
       for (std::int64_t v : t.dataflow.direction) h.add(v);
     } else if (t.dataflow.reuseRank >= 2) {
-      const auto red = linalg::rref(
-          linalg::toRational(t.dataflow.reuseBasis.transposed()));
-      for (std::size_t i = 0; i < red.rank; ++i) {
-        linalg::RatVector row = red.matrix.row(i);
-        for (std::int64_t v : linalg::clearDenominators(row)) h.add(v);
-      }
+      for (const auto& row :
+           linalg::canonicalRowBasis(t.dataflow.reuseBasis.transposed()))
+        for (std::int64_t v : row) h.add(v);
     }
   }
   return h.state;
@@ -132,7 +130,7 @@ DataflowSpec analyzeDataflow(const SpecContextPtr& context,
     role.isOutput = (ref == &context->algebra.output());
     role.fullAccess = ref->access;
     role.access = context->restrictedAccesses[i];
-    role.dataflow = classify(analyzeReuse(role.access, transform));
+    role.dataflow = classify(analyzeReuse(context->reuseBases[i], transform));
     roles.push_back(std::move(role));
   }
   return DataflowSpec(context, transform, std::move(roles));

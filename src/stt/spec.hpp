@@ -31,8 +31,9 @@ struct TensorRole {
 };
 
 /// The immutable (algebra, selection) pair shared by every spec of one
-/// enumeration sweep, plus the per-tensor restricted accesses (computed once
-/// per selection instead of once per candidate transform).
+/// enumeration sweep, plus the per-tensor restricted accesses and their
+/// reuse nullspaces (computed once per selection instead of once per
+/// candidate transform).
 struct SpecContext {
   SpecContext(tensor::TensorAlgebra algebra, LoopSelection selection);
 
@@ -41,6 +42,10 @@ struct SpecContext {
   /// Accesses restricted to the selected loops, in label order (inputs in
   /// formula order, output last).
   std::vector<tensor::AffineAccess> restrictedAccesses;
+  /// Per restricted access, nullspaceBasis(coeff()): 3 x r, primitive
+  /// columns. The T-independent half of every reuse analysis; both the
+  /// per-spec analysis and the bound-first classifier read it.
+  std::vector<linalg::IntMatrix> reuseBases;
 };
 
 using SpecContextPtr = std::shared_ptr<const SpecContext>;

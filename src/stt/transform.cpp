@@ -39,9 +39,7 @@ SpaceTimeTransform::SpaceTimeTransform(linalg::IntMatrix t) : t_(std::move(t)) {
   TL_CHECK(t_.rows() == 3 && t_.cols() == 3, "STT matrix must be 3x3");
   det_ = linalg::determinant(t_);
   TL_CHECK(det_ != 0, "STT matrix must be full rank (paper Section II): " + t_.str());
-  auto inv = linalg::inverse(t_);
-  TL_CHECK(inv.has_value(), "STT matrix inversion failed");
-  inv_ = *inv;
+  adj_ = linalg::adjugate(t_);
 }
 
 linalg::IntVector SpaceTimeTransform::apply(const linalg::IntVector& x) const {
@@ -52,13 +50,15 @@ linalg::IntVector SpaceTimeTransform::apply(const linalg::IntVector& x) const {
 std::optional<linalg::IntVector> SpaceTimeTransform::invert(
     const linalg::IntVector& spaceTime) const {
   TL_CHECK(spaceTime.size() == 3, "STT invert: vector must have 3 components");
-  linalg::RatVector st(3);
-  for (std::size_t i = 0; i < 3; ++i) st[i] = linalg::Rational(spaceTime[i]);
-  const linalg::RatVector x = inv_ * st;
+  // x = T⁻¹·(p,t) = adj(T)·(p,t) / det: integral iff det divides each row.
   linalg::IntVector out(3);
   for (std::size_t i = 0; i < 3; ++i) {
-    if (!x[i].isInteger()) return std::nullopt;
-    out[i] = x[i].toInteger();
+    std::int64_t acc = 0;
+    for (std::size_t j = 0; j < 3; ++j)
+      acc = linalg::checkedAdd(acc, linalg::checkedMul(adj_.at(i, j), spaceTime[j]));
+    const auto x = linalg::exactQuotient(acc, det_);
+    if (!x) return std::nullopt;
+    out[i] = *x;
   }
   return out;
 }

@@ -53,7 +53,6 @@ class SpaceTimeTransform {
   explicit SpaceTimeTransform(linalg::IntMatrix t);
 
   const linalg::IntMatrix& matrix() const { return t_; }
-  const linalg::RatMatrix& inverse() const { return inv_; }
   std::int64_t det() const { return det_; }
   bool isUnimodular() const { return det_ == 1 || det_ == -1; }
 
@@ -72,7 +71,7 @@ class SpaceTimeTransform {
 
  private:
   linalg::IntMatrix t_;
-  linalg::RatMatrix inv_;
+  linalg::IntMatrix adj_;  ///< adj(T), so T⁻¹ == adj_ / det_
   std::int64_t det_ = 0;
 };
 

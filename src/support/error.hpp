@@ -25,5 +25,8 @@ void require(bool condition, const std::string& message);
 }  // namespace tensorlib
 
 /// Internal invariant check. Unlike assert(), always enabled: a generator
-/// that silently emits wrong hardware is worse than one that stops.
-#define TL_CHECK(cond, msg) ::tensorlib::require((cond), (msg))
+/// that silently emits wrong hardware is worse than one that stops. The
+/// condition is evaluated exactly once on every call; the message (often a
+/// concatenation such as `"..." + t.str()`) is built only when the check
+/// fails, so a passing check costs one branch.
+#define TL_CHECK(cond, msg) ((cond) ? void(0) : ::tensorlib::fail(msg))

@@ -1,18 +1,24 @@
-// Unit + property tests for exact solvers: RREF, rank, determinant,
-// inverse, nullspace, span membership.
+// Unit + property tests for the exact kernels: RREF, rank, determinant,
+// adjugate/inverse, nullspace, span membership (integer kernels), and the
+// Rational oracle's RREF and solver.
 #include "linalg/solve.hpp"
 
 #include <gtest/gtest.h>
 
+#include "rational_oracle.hpp"
 #include "support/prng.hpp"
 
 namespace tensorlib::linalg {
 namespace {
 
 TEST(Rref, IdentityStaysIdentity) {
-  const auto r = rref(toRational(IntMatrix::identity(3)));
+  const auto r = oracle::rref(toRational(IntMatrix::identity(3)));
   EXPECT_EQ(r.rank, 3u);
   EXPECT_EQ(toInteger(r.matrix), IntMatrix::identity(3));
+  const IntRref f = fractionFreeRref(IntMatrix::identity(3));
+  EXPECT_EQ(f.rank, 3u);
+  EXPECT_EQ(f.scale, 1);
+  EXPECT_EQ(f.matrix, IntMatrix::identity(3));
 }
 
 TEST(Rref, RankDeficient) {
@@ -28,15 +34,20 @@ TEST(Determinant, Known) {
 }
 
 TEST(Inverse, PaperExample) {
-  // T from Fig. 1(b).
+  // T from Fig. 1(b): unimodular, so T^-1 = adj(T) / det(T) is integral.
   IntMatrix t{{1, 0, 0}, {0, 1, 0}, {1, 1, 1}};
-  const auto inv = inverse(t);
+  ASSERT_EQ(determinant(t), 1);
+  EXPECT_EQ(adjugate(t) * t, IntMatrix::identity(3));
+  const auto inv = oracle::inverse(t);
   ASSERT_TRUE(inv.has_value());
-  EXPECT_EQ(toInteger(*inv * toRational(t)), IntMatrix::identity(3));
+  EXPECT_EQ(toInteger(*inv), adjugate(t));
 }
 
-TEST(Inverse, SingularReturnsNullopt) {
-  EXPECT_FALSE(inverse(IntMatrix{{1, 2}, {2, 4}}).has_value());
+TEST(Inverse, SingularHasNoInverse) {
+  const IntMatrix m{{1, 2}, {2, 4}};
+  EXPECT_EQ(determinant(m), 0);
+  EXPECT_EQ(adjugate(m) * m, IntMatrix(2, 2));
+  EXPECT_FALSE(oracle::inverse(m).has_value());
 }
 
 TEST(Nullspace, FullRankIsTrivial) {
@@ -80,7 +91,7 @@ TEST(InSpan, Basics) {
 
 TEST(Solve, ConsistentSystem) {
   RatMatrix m = toRational(IntMatrix{{1, 1}, {1, -1}});
-  const auto x = solve(m, RatVector{Rational(3), Rational(1)});
+  const auto x = oracle::solve(m, RatVector{Rational(3), Rational(1)});
   ASSERT_TRUE(x.has_value());
   EXPECT_EQ((*x)[0], Rational(2));
   EXPECT_EQ((*x)[1], Rational(1));
@@ -88,7 +99,7 @@ TEST(Solve, ConsistentSystem) {
 
 TEST(Solve, InconsistentReturnsNullopt) {
   RatMatrix m = toRational(IntMatrix{{1, 1}, {2, 2}});
-  EXPECT_FALSE(solve(m, RatVector{Rational(1), Rational(3)}).has_value());
+  EXPECT_FALSE(oracle::solve(m, RatVector{Rational(1), Rational(3)}).has_value());
 }
 
 // ---------------------------------------------------------------------------
@@ -119,13 +130,11 @@ TEST_P(SolvePropertyTest, RankNullityAndInverseRoundTrip) {
     }
 
     if (rows == cols) {
-      const auto inv = inverse(m);
-      if (determinant(m) != 0) {
-        ASSERT_TRUE(inv.has_value());
-        EXPECT_EQ(toInteger(*inv * rm), IntMatrix::identity(rows)) << m.str();
-      } else {
-        EXPECT_FALSE(inv.has_value());
-      }
+      // adj(m) * m == m * adj(m) == det(m) * I, singular or not.
+      IntMatrix scaled = IntMatrix::identity(rows);
+      for (std::size_t i = 0; i < rows; ++i) scaled.at(i, i) = determinant(m);
+      EXPECT_EQ(adjugate(m) * m, scaled) << m.str();
+      EXPECT_EQ(m * adjugate(m), scaled) << m.str();
     }
   }
 }
