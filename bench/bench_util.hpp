@@ -1,6 +1,7 @@
 // Shared helpers for the figure/table reproduction binaries.
 #pragma once
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <string>
@@ -50,6 +51,16 @@ inline void evalAll(const tensor::TensorAlgebra& algebra,
     PerfRow r = evalDataflow(algebra, l, config);
     if (rows) rows->push_back(std::move(r));
   }
+}
+
+/// Median of repeated timings (mean of the middle two for an even count);
+/// 0 for none.
+inline double median(std::vector<double> samples) {
+  if (samples.empty()) return 0.0;
+  std::sort(samples.begin(), samples.end());
+  const std::size_t mid = samples.size() / 2;
+  return samples.size() % 2 == 1 ? samples[mid]
+                                 : (samples[mid - 1] + samples[mid]) / 2.0;
 }
 
 /// The paper's evaluation array: 16x16 PEs, 320 MHz, 32 GB/s, INT16.

@@ -13,8 +13,13 @@
 //
 // Element-exactness is asserted every run, gates or not: both engines must
 // match the composed dense reference bit for bit (the same contract
-// verify_model_conformance_test enforces). Gate: compiled >= 2x legacy on
-// the full run (full mode only).
+// verify_model_conformance_test enforces). Gate (full mode only): the
+// median compiled run of kFullRepeats within kGateMaxCompiledMs; the
+// compiled-vs-legacy ratio is reported, not gated. It used to be gated at
+// >= 2x, but the legacy walker's margin was mostly eagerly built check
+// messages; once checks built messages only on failure the ratio fell to
+// about 1.8-1.9x with the compiled tape unchanged. The budget is the
+// compiled time committed when the ratio gate was retired.
 //
 // Merges a "model_rtl" section into BENCH_hotpaths.json next to the
 // earlier gates.
@@ -45,7 +50,8 @@ double msSince(Clock::time_point start) {
   return std::chrono::duration<double, std::milli>(Clock::now() - start).count();
 }
 
-constexpr double kGateMinSpeedup = 2.0;
+constexpr double kGateMaxCompiledMs = 12.75;
+constexpr int kFullRepeats = 5;
 constexpr const char* kModel = "mlp-3";
 
 /// First enumerated design the netlist generator can realize — the same
@@ -73,7 +79,7 @@ stt::DataflowSpec firstRealizableSpec(const tensor::TensorAlgebra& algebra,
 struct ModelRtlReport {
   std::size_t layers = 0;
   std::int64_t cycles = 0;  ///< stitched schedule length (both engines)
-  double compiledMs = 0, legacyMs = 0;
+  double compiledMs = 0, legacyMs = 0;  ///< medians over the repeats
   double speedup() const { return legacyMs / compiledMs; }
 };
 
@@ -101,15 +107,14 @@ ModelRtlReport benchModelRtl(int reps) {
   r.layers = model.layers.size();
   for (const hwir::SimEngine engine :
        {hwir::SimEngine::Compiled, hwir::SimEngine::Legacy}) {
-    double bestMs = 0;
+    std::vector<double> samples;
     for (int rep = 0; rep < reps; ++rep) {
       arch::ModelRunOptions runOptions;
       runOptions.engine = engine;
       const auto t = Clock::now();
       const arch::ModelRunResult run =
           arch::runModelAccelerator(model, envs, runOptions);
-      const double ms = msSince(t);
-      if (rep == 0 || ms < bestMs) bestMs = ms;
+      samples.push_back(msSince(t));
       r.cycles = run.cyclesRun;
       // Element-exactness on every rep: the speed comparison is only
       // meaningful while both engines compute the same model.
@@ -121,7 +126,8 @@ ModelRtlReport benchModelRtl(int reps) {
                "layer " +
                std::to_string(l));
     }
-    (engine == hwir::SimEngine::Compiled ? r.compiledMs : r.legacyMs) = bestMs;
+    (engine == hwir::SimEngine::Compiled ? r.compiledMs : r.legacyMs) =
+        bench::median(samples);
   }
   return r;
 }
@@ -143,14 +149,15 @@ int main(int argc, char** argv) {
   try {
     bench::printHeader(smoke ? "Stitched model RTL engines (smoke)"
                              : "Stitched model: compiled tape vs legacy");
-    const ModelRtlReport r = benchModelRtl(smoke ? 1 : 3);
+    const ModelRtlReport r = benchModelRtl(smoke ? 1 : kFullRepeats);
     std::printf(
-        "  %s  compiled %.1f ms | legacy %.1f ms (%.2fx)  [%zu layers, %lld "
-        "cycles, both engines element-exact vs composed reference]\n",
-        kModel, r.compiledMs, r.legacyMs, r.speedup(), r.layers,
-        static_cast<long long>(r.cycles));
+        "  %s  compiled %.2f ms (budget %.2f ms) | legacy %.1f ms (%.2fx)  "
+        "[medians of %d, %zu layers, %lld cycles, both engines element-exact "
+        "vs composed reference]\n",
+        kModel, r.compiledMs, kGateMaxCompiledMs, r.legacyMs, r.speedup(),
+        smoke ? 1 : kFullRepeats, r.layers, static_cast<long long>(r.cycles));
 
-    const bool pass = smoke || r.speedup() >= kGateMinSpeedup;
+    const bool pass = smoke || r.compiledMs <= kGateMaxCompiledMs;
     if (!smoke) {
       std::ostringstream line;
       line << "\"model_rtl\": {\"model\": \"" << kModel
@@ -158,15 +165,16 @@ int main(int argc, char** argv) {
            << ", \"compiled_ms\": " << r.compiledMs
            << ", \"legacy_ms\": " << r.legacyMs
            << ", \"speedup\": " << r.speedup()
-           << ", \"gate_min_speedup\": " << kGateMinSpeedup
+           << ", \"repeats\": " << kFullRepeats
+           << ", \"gate_max_compiled_ms\": " << kGateMaxCompiledMs
            << ", \"pass\": " << (pass ? "true" : "false") << "}";
       bench::mergeJsonSection(out, "model_rtl", line.str());
       std::printf("  merged into %s\n", out.c_str());
     }
 
     if (!pass)
-      std::printf("  GATE FAIL: compiled speedup %.2f < %.1f\n", r.speedup(),
-                  kGateMinSpeedup);
+      std::printf("  GATE FAIL: compiled %.2f ms > %.2f ms budget\n",
+                  r.compiledMs, kGateMaxCompiledMs);
     return pass ? 0 : 1;
   } catch (const tensorlib::Error& e) {
     std::fprintf(stderr, "error: %s\n", e.what());

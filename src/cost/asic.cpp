@@ -1,9 +1,9 @@
 #include "cost/asic.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <sstream>
 
-#include "arch/memory.hpp"
 #include "support/error.hpp"
 
 namespace tensorlib::cost {
@@ -18,15 +18,10 @@ std::int64_t lineCountAbs(std::int64_t d1, std::int64_t d2, std::int64_t rows,
   return rows * d2 + cols * d1 - d1 * d2;
 }
 
-std::int64_t lineCount(const linalg::IntVector& dir, std::int64_t rows,
-                       std::int64_t cols) {
-  return lineCountAbs(std::abs(dir[0]), std::abs(dir[1]), rows, cols);
-}
-
 /// Adds one tensor's movement structures to the inventory — the per-class
-/// template arithmetic shared by the scalar and packed derivations.
-/// `dirLines` is the line count of the tensor's reuse direction (rank-1
-/// classes); `dt` the |lattice time stride| (Systolic only).
+/// template arithmetic. `dirLines` is the line count of the tensor's reuse
+/// direction (rank-1 classes); `dt` the |lattice time stride| (Systolic
+/// only).
 void addTensorStructures(StructureInventory& inv, stt::DataflowClass cls,
                          bool isOut, std::int64_t dirLines, std::int64_t dt,
                          const stt::ArrayConfig& config, std::int64_t w) {
@@ -109,8 +104,10 @@ void addTensorStructures(StructureInventory& inv, stt::DataflowClass cls,
   }
 }
 
-StructureInventory baseInventory(std::size_t inputCount,
-                                 const stt::ArrayConfig& config) {
+}  // namespace
+
+StructureInventory baseStructureInventory(std::size_t inputCount,
+                                          const stt::ArrayConfig& config) {
   StructureInventory inv;
   inv.pes = config.rows * config.cols;
   // A k-input product needs k-1 multipliers per PE (at least one).
@@ -120,39 +117,11 @@ StructureInventory baseInventory(std::size_t inputCount,
   return inv;
 }
 
-}  // namespace
-
-StructureInventory baseStructureInventory(std::size_t inputCount,
-                                          const stt::ArrayConfig& config) {
-  return baseInventory(inputCount, config);
-}
-
-StructureInventory deriveInventory(const stt::DataflowSpec& spec,
-                                   const stt::ArrayConfig& config,
-                                   int dataWidth) {
-  using stt::DataflowClass;
-  StructureInventory inv = baseInventory(spec.algebra().inputs().size(), config);
-  const std::int64_t w = dataWidth;
-  for (const auto& role : spec.tensors()) {
-    const auto& df = role.dataflow;
-    const bool rank1 = df.dataflowClass == DataflowClass::Systolic ||
-                       df.dataflowClass == DataflowClass::Multicast;
-    const std::int64_t dirLines =
-        rank1 ? lineCount(df.direction, config.rows, config.cols) : 0;
-    const std::int64_t dt = df.dataflowClass == DataflowClass::Systolic
-                                ? std::abs(df.latticeBasis.at(2, 0))
-                                : 0;
-    addTensorStructures(inv, df.dataflowClass, role.isOutput, dirLines, dt,
-                        config, w);
-  }
-  return inv;
-}
-
 StructureInventory deriveInventory(const stt::SpecBlockSet& set, std::size_t i,
                                    const stt::ArrayConfig& config,
                                    int dataWidth) {
   using stt::DataflowClass;
-  StructureInventory inv = baseInventory(set.inputCount, config);
+  StructureInventory inv = baseStructureInventory(set.inputCount, config);
   const std::int64_t w = dataWidth;
   for (std::size_t k = 0; k < set.tensorsPerSpec; ++k) {
     const std::size_t ti = set.tensorIndex(i, k);
@@ -215,8 +184,9 @@ AsicReport asicFromInventory(StructureInventory inventory, int dataWidth,
 AsicReport estimateAsic(const stt::DataflowSpec& spec,
                         const stt::ArrayConfig& config, int dataWidth,
                         const AsicCostTable& t) {
-  return asicFromInventory(deriveInventory(spec, config, dataWidth), dataWidth,
-                           t);
+  return asicFromInventory(deriveInventory(*stt::packSpec(spec), 0, config,
+                                           dataWidth),
+                           dataWidth, t);
 }
 
 }  // namespace tensorlib::cost

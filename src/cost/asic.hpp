@@ -34,14 +34,9 @@ struct StructureInventory {
   std::int64_t unicastPorts = 0;    ///< per-PE private memory ports
 };
 
-/// Derives the inventory from the dataflow classes (Fig. 3 templates).
-StructureInventory deriveInventory(const stt::DataflowSpec& spec,
-                                   const stt::ArrayConfig& config,
-                                   int dataWidth);
-
-/// Packed overload: the same per-class template arithmetic over
-/// SpecBlockSet slot `i` (class tags, |direction|, |lattice dt|), touching
-/// no DataflowSpec — bit-identical to the scalar overload by tests.
+/// Derives the inventory of SpecBlockSet slot `i` from its dataflow classes
+/// (Fig. 3 templates): per tensor its class tag, |reuse direction| and
+/// |lattice dt|, touching no DataflowSpec.
 StructureInventory deriveInventory(const stt::SpecBlockSet& set, std::size_t i,
                                    const stt::ArrayConfig& config,
                                    int dataWidth);
@@ -98,14 +93,14 @@ struct AsicReport {
   std::string str() const;
 };
 
-/// Full ASIC estimate of a design point (Fig. 6 axes).
+/// Full ASIC estimate of a design point (Fig. 6 axes): asicFromInventory
+/// over the inventory of a one-spec pack.
 AsicReport estimateAsic(const stt::DataflowSpec& spec,
                         const stt::ArrayConfig& config, int dataWidth,
                         const AsicCostTable& table = {});
 
 /// Prices an already-derived inventory — the single arithmetic core behind
-/// estimateAsic and the block evaluation path, so the two agree bit for
-/// bit by construction.
+/// estimateAsic and the ASIC backend's block entry points.
 AsicReport asicFromInventory(StructureInventory inventory, int dataWidth,
                              const AsicCostTable& table = {});
 

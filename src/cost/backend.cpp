@@ -16,43 +16,6 @@ std::optional<BackendKind> parseBackendKind(const std::string& name) {
 
 std::string CostReport::str() const { return fpga ? fpga->str() : asic.str(); }
 
-// Base-class block entry points: scalar fallback through set.source, so a
-// backend without packed overrides still answers block calls correctly
-// (zero slots — the fallback never touches the store).
-std::size_t CostBackend::blockSlotCount(const stt::SpecBlockSet&) const {
-  return 0;
-}
-
-CostBound CostBackend::lowerBoundPartial(const stt::PartialTransform&,
-                                         const stt::ArrayConfig&) const {
-  // Trivial-but-admissible: every evaluation costs >= 1 cycle and >= 0
-  // power/area, and no frontier point strictly dominates all three, so a
-  // backend without a real partial bound simply never cuts.
-  CostBound b;
-  b.cycles = 1.0;
-  return b;
-}
-
-void CostBackend::lowerBoundBlock(const stt::SpecBlockSet& set,
-                                  const std::size_t* indices,
-                                  std::size_t count,
-                                  const stt::ArrayConfig& array,
-                                  CostBound* out) const {
-  for (std::size_t n = 0; n < count; ++n)
-    out[n] = lowerBound((*set.source)[indices[n]], array);
-}
-
-BlockEval CostBackend::evaluateBlock(const stt::SpecBlockSet& set,
-                                     std::size_t i,
-                                     const stt::ArrayConfig& array,
-                                     stt::BlockMappingStore&) const {
-  const stt::DataflowSpec& spec = (*set.source)[i];
-  BlockEval e;
-  e.perf = estimatePerf(spec, array);
-  e.cost = evaluate(spec, array);
-  return e;
-}
-
 namespace {
 
 class AsicBackend final : public CostBackend {
@@ -81,29 +44,6 @@ class AsicBackend final : public CostBackend {
     return os.str();
   }
 
-  CostReport evaluate(const stt::DataflowSpec& spec,
-                      const stt::ArrayConfig& array) const override {
-    CostReport rep;
-    rep.asic = estimateAsic(spec, array, dataWidth_, table_);
-    rep.figures = rep.asic.figures();
-    return rep;
-  }
-
-  sim::PerfResult estimatePerf(const stt::DataflowSpec& spec,
-                               const stt::ArrayConfig& array) const override {
-    return sim::estimatePerformance(spec, array);
-  }
-
-  CostBound lowerBound(const stt::DataflowSpec& spec,
-                       const stt::ArrayConfig& array) const override {
-    // The ASIC area/power model is mapping-free, so the bound's figures are
-    // the exact evaluation; only cycles is a (provable) lower bound.
-    CostBound b;
-    b.cycles = static_cast<double>(sim::cyclesLowerBound(spec, array));
-    b.figures = estimateAsic(spec, array, dataWidth_, table_).figures();
-    return b;
-  }
-
   CostBound lowerBoundPartial(const stt::PartialTransform& partial,
                               const stt::ArrayConfig& array) const override {
     // Cycles: the partial packed bound equals the packed bound of every
@@ -128,13 +68,12 @@ class AsicBackend final : public CostBackend {
   void lowerBoundBlock(const stt::SpecBlockSet& set, const std::size_t* indices,
                        std::size_t count, const stt::ArrayConfig& array,
                        CostBound* out) const override {
+    // The ASIC area/power model is mapping-free, so the bound's figures are
+    // the exact evaluation; only cycles is a (provable) lower bound.
     for (std::size_t n = 0; n < count; ++n) {
       const std::size_t i = indices[n];
       out[n].cycles = static_cast<double>(sim::cyclesLowerBound(set, i, array));
-      out[n].figures =
-          asicFromInventory(deriveInventory(set, i, array, dataWidth_),
-                            dataWidth_, table_)
-              .figures();
+      out[n].figures = report(set, i, array).figures();
     }
   }
 
@@ -145,14 +84,18 @@ class AsicBackend final : public CostBackend {
     const stt::TileMapping& mapping =
         store.get(set, i, array, set.mapClass[i]);
     e.perf = sim::perfFromMapping(mapping, array);
-    e.cost.asic =
-        asicFromInventory(deriveInventory(set, i, array, dataWidth_),
-                          dataWidth_, table_);
+    e.cost.asic = report(set, i, array);
     e.cost.figures = e.cost.asic.figures();
     return e;
   }
 
  private:
+  AsicReport report(const stt::SpecBlockSet& set, std::size_t i,
+                    const stt::ArrayConfig& array) const {
+    return asicFromInventory(deriveInventory(set, i, array, dataWidth_),
+                             dataWidth_, table_);
+  }
+
   int dataWidth_;
   AsicCostTable table_;
 };
@@ -173,32 +116,6 @@ class FpgaBackend final : public CostBackend {
     return os.str();
   }
 
-  CostReport evaluate(const stt::DataflowSpec& spec,
-                      const stt::ArrayConfig& array) const override {
-    CostReport rep;
-    rep.fpga = estimateFpga(spec, array, config_);
-    rep.figures = rep.fpga->figures();
-    return rep;
-  }
-
-  sim::PerfResult estimatePerf(const stt::DataflowSpec& spec,
-                               const stt::ArrayConfig& array) const override {
-    return sim::estimatePerformance(spec, fpgaPerfConfig(spec, array, config_));
-  }
-
-  CostBound lowerBound(const stt::DataflowSpec& spec,
-                       const stt::ArrayConfig& array) const override {
-    // Resources, frequency and power are mapping-free (estimateFpga only
-    // needs the mapping for gops), so the figures are exact; cycles is
-    // bounded at the FPGA operating point (post-route frequency, real word
-    // size) because that is what estimatePerf reports.
-    CostBound b;
-    b.cycles = static_cast<double>(
-        sim::cyclesLowerBound(spec, fpgaPerfConfig(spec, array, config_)));
-    b.figures = estimateFpgaResources(spec, array, config_).figures();
-    return b;
-  }
-
   CostBound lowerBoundPartial(const stt::PartialTransform& partial,
                               const stt::ArrayConfig& array) const override {
     // A completion's frequency tier depends on class tags that don't exist
@@ -209,7 +126,7 @@ class FpgaBackend final : public CostBackend {
     // class-independent inventory floor, monotone under completion.
     CostBound b;
     b.cycles = static_cast<double>(
-        sim::cyclesLowerBound(partial, tierPerfConfig(array, 2)));
+        sim::cyclesLowerBound(partial, fpgaTierPerfConfig(array, 2, config_)));
     const std::int64_t pes = array.rows * array.cols;
     b.figures = fpgaFromInventory(
                     baseStructureInventory(partial.geometry->inputCount, array),
@@ -227,17 +144,17 @@ class FpgaBackend final : public CostBackend {
   void lowerBoundBlock(const stt::SpecBlockSet& set, const std::size_t* indices,
                        std::size_t count, const stt::ArrayConfig& array,
                        CostBound* out) const override {
-    const std::int64_t pes = array.rows * array.cols;
-    const int w = config_.fp32 ? 32 : 16;
+    // Resources, frequency and power are mapping-free, so the figures are
+    // exact; cycles is bounded at the FPGA operating point (post-route
+    // frequency, real word size) because that is what evaluateBlock
+    // reports.
     for (std::size_t n = 0; n < count; ++n) {
       const std::size_t i = indices[n];
       const int tier = fpgaFrequencyTier(set, i);
-      out[n].cycles = static_cast<double>(
-          sim::cyclesLowerBound(set, i, tierPerfConfig(array, tier)));
-      out[n].figures = fpgaFromInventory(deriveInventory(set, i, array, w),
-                                         fpgaTierFrequencyMHz(tier, config_),
-                                         pes, config_)
-                           .figures();
+      out[n].cycles = static_cast<double>(sim::cyclesLowerBound(
+          set, i, fpgaTierPerfConfig(array, tier, config_)));
+      out[n].figures =
+          fpgaReportBlock(set, i, array, tier, 0.0, config_).figures();
     }
   }
 
@@ -245,44 +162,22 @@ class FpgaBackend final : public CostBackend {
                           const stt::ArrayConfig& array,
                           stt::BlockMappingStore& store) const override {
     const int tier = fpgaFrequencyTier(set, i);
-    const stt::ArrayConfig perfCfg = tierPerfConfig(array, tier);
+    const stt::ArrayConfig perfCfg = fpgaTierPerfConfig(array, tier, config_);
     BlockEval e;
     const stt::TileMapping& mapping = store.get(
         set, i, perfCfg, set.mapClass[i] * 3 + static_cast<std::size_t>(tier));
     e.perf = sim::perfFromMapping(mapping, perfCfg);
-    const std::int64_t pes = array.rows * array.cols;
-    const int w = config_.fp32 ? 32 : 16;
-    FpgaReport rep =
-        fpgaFromInventory(deriveInventory(set, i, array, w),
-                          fpgaTierFrequencyMHz(tier, config_), pes, config_);
-    const std::int64_t lanes = pes * config_.vectorLanes;
-    rep.gops = 2.0 * static_cast<double>(lanes) * rep.frequencyMHz * 1e6 *
-               e.perf.utilization / 1e9;
-    e.cost.fpga = std::move(rep);
+    e.cost.fpga =
+        fpgaReportBlock(set, i, array, tier, e.perf.utilization, config_);
     e.cost.figures = e.cost.fpga->figures();
     return e;
   }
 
  private:
-  /// fpgaPerfConfig factored through the tier (see fpga.hpp).
-  stt::ArrayConfig tierPerfConfig(const stt::ArrayConfig& array,
-                                  int tier) const {
-    stt::ArrayConfig perfCfg = array;
-    perfCfg.frequencyMHz = fpgaTierFrequencyMHz(tier, config_);
-    perfCfg.dataBytes = config_.fp32 ? 4 : 2;
-    return perfCfg;
-  }
-
   FpgaConfig config_;
 };
 
 }  // namespace
-
-CostBound boundFigures(const stt::DataflowSpec& spec,
-                       const stt::ArrayConfig& array,
-                       const CostBackend& backend) {
-  return backend.lowerBound(spec, array);
-}
 
 std::shared_ptr<const CostBackend> makeAsicBackend(int dataWidth,
                                                    AsicCostTable table) {

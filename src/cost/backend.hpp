@@ -46,14 +46,15 @@ struct CostBound {
   CostFigures figures;
 };
 
-/// One block-path evaluation: exactly what estimatePerf + evaluate would
-/// have produced for the same spec (the scalar/block equivalence contract —
-/// see docs/ARCHITECTURE.md and tests/block_eval_test.cpp).
+/// One evaluation of a packed candidate: its performance at the backend's
+/// operating point and its cost report.
 struct BlockEval {
   sim::PerfResult perf;
   CostReport cost;
 };
 
+/// Every entry point reads packed candidates (stt/block.hpp); a single
+/// spec is priced as a one-spec pack (stt::packSpec).
 class CostBackend {
  public:
   virtual ~CostBackend() = default;
@@ -62,62 +63,36 @@ class CostBackend {
   /// Distinguishes evaluations in the cross-query cache: two backends with
   /// the same cacheKey must produce identical reports for every spec.
   virtual std::string cacheKey() const = 0;
-  virtual CostReport evaluate(const stt::DataflowSpec& spec,
-                              const stt::ArrayConfig& array) const = 0;
-  /// Performance of `spec` under this backend's operating point — the ASIC
-  /// backend runs the array as configured; the FPGA backend models the
-  /// achieved post-route frequency and the datapath's word size, so
-  /// cycles/utilization on a frontier always match the cost model beside
-  /// them.
-  virtual sim::PerfResult estimatePerf(const stt::DataflowSpec& spec,
-                                       const stt::ArrayConfig& array) const = 0;
-  /// Cheap provable lower bound on what evaluate/estimatePerf would report
-  /// (see CostBound). Never exceeds the true figures in any axis.
-  virtual CostBound lowerBound(const stt::DataflowSpec& spec,
-                               const stt::ArrayConfig& array) const = 0;
 
   /// Lower bound over EVERY full-rank completion of a partial transform
   /// (both space rows placed, time row free): for any completion c,
-  /// lowerBoundPartial(p) <= lowerBound(c) <= true figures, in every axis.
-  /// This is the bound-first enumeration's subtree cut predicate — it runs
-  /// before a DataflowSpec or SpecContext exists. The base implementation
-  /// returns the trivial bound (1 cycle, zero figures), which no incumbent
-  /// can strictly dominate, so custom backends stay correct without
-  /// opting in (they just never cut).
+  /// lowerBoundPartial(p) <= lowerBoundBlock(c) <= true figures, in every
+  /// axis. This is the bound-first enumeration's subtree cut predicate — it
+  /// runs before a DataflowSpec or SpecContext exists.
   virtual CostBound lowerBoundPartial(const stt::PartialTransform& partial,
-                                      const stt::ArrayConfig& array) const;
+                                      const stt::ArrayConfig& array) const = 0;
 
-  // ---- block-shaped entry points -------------------------------------
-  // The struct-of-arrays siblings of lowerBound/estimatePerf/evaluate:
-  // same results bit for bit, but reading packed SpecBlockSet arrays in
-  // tight loops with no per-candidate allocation, and sharing one tile
-  // search per mapping class through a BlockMappingStore. The base class
-  // falls back to the scalar path, so custom backends stay correct
-  // without opting in.
+  /// Mapping-store slots an evaluation of `set` needs (mapping classes
+  /// times this backend's operating-point fan-out).
+  virtual std::size_t blockSlotCount(const stt::SpecBlockSet& set) const = 0;
 
-  /// Mapping-store slots a block evaluation of `set` needs (mapping
-  /// classes times this backend's operating-point fan-out).
-  virtual std::size_t blockSlotCount(const stt::SpecBlockSet& set) const;
-
-  /// Lower bounds for `count` packed candidates (indices into `set`),
-  /// written to out[0..count): each equals lowerBound on the same spec.
+  /// Lower bounds (see CostBound) for `count` packed candidates (indices
+  /// into `set`), written to out[0..count). Never exceeds evaluateBlock's
+  /// figures in any axis.
   virtual void lowerBoundBlock(const stt::SpecBlockSet& set,
                                const std::size_t* indices, std::size_t count,
                                const stt::ArrayConfig& array,
-                               CostBound* out) const;
+                               CostBound* out) const = 0;
 
   /// Full evaluation of packed candidate `i`, memoizing its tile search in
-  /// `store`; equals {estimatePerf(spec, array), evaluate(spec, array)}.
+  /// `store`. The ASIC backend runs the array as configured; the FPGA
+  /// backend models the achieved post-route frequency and the datapath's
+  /// word size, so cycles/utilization on a frontier always match the cost
+  /// model beside them.
   virtual BlockEval evaluateBlock(const stt::SpecBlockSet& set, std::size_t i,
                                   const stt::ArrayConfig& array,
-                                  stt::BlockMappingStore& store) const;
+                                  stt::BlockMappingStore& store) const = 0;
 };
-
-/// Free-function face of CostBackend::lowerBound: provable lower bounds on
-/// (cycles, power, area) for `spec` on `array` priced by `backend`.
-CostBound boundFigures(const stt::DataflowSpec& spec,
-                       const stt::ArrayConfig& array,
-                       const CostBackend& backend);
 
 std::shared_ptr<const CostBackend> makeAsicBackend(int dataWidth = 16,
                                                    AsicCostTable table = {});

@@ -23,31 +23,12 @@ LaneCosts laneCosts(bool fp32) {
   return {1, 90};  // INT16 MAC packs into one DSP48
 }
 
-bool hasClass(const stt::DataflowSpec& spec, stt::DataflowClass cls) {
-  for (const auto& t : spec.tensors())
-    if (t.dataflow.dataflowClass == cls) return true;
-  return false;
-}
-
 }  // namespace
 
 double fpgaTierFrequencyMHz(int tier, const FpgaConfig& cfg) {
   double freq = tier == 2 ? 221.0 : tier == 1 ? 231.0 : 263.0;
   if (cfg.placementOptimized) freq *= 1.247;  // AutoBridge-style floorplan
   return freq;
-}
-
-double fpgaFrequencyMHz(const stt::DataflowSpec& spec, const FpgaConfig& cfg) {
-  // Systolic arrays close timing highest (neighbor-only wires); multicast
-  // broadcast nets and unicast port fabrics cost routing slack. The unicast
-  // tier wins over the broadcast tier because 221 < 231.
-  int tier = 0;
-  if (hasClass(spec, stt::DataflowClass::Multicast) ||
-      hasClass(spec, stt::DataflowClass::Broadcast2D) ||
-      hasClass(spec, stt::DataflowClass::MulticastStationary))
-    tier = 1;
-  if (hasClass(spec, stt::DataflowClass::Unicast)) tier = 2;
-  return fpgaTierFrequencyMHz(tier, cfg);
 }
 
 int fpgaFrequencyTier(const stt::SpecBlockSet& set, std::size_t i) {
@@ -64,11 +45,10 @@ int fpgaFrequencyTier(const stt::SpecBlockSet& set, std::size_t i) {
   return tier;
 }
 
-stt::ArrayConfig fpgaPerfConfig(const stt::DataflowSpec& spec,
-                                const stt::ArrayConfig& arrayConfig,
-                                const FpgaConfig& cfg) {
+stt::ArrayConfig fpgaTierPerfConfig(const stt::ArrayConfig& arrayConfig,
+                                    int tier, const FpgaConfig& cfg) {
   stt::ArrayConfig perfCfg = arrayConfig;
-  perfCfg.frequencyMHz = fpgaFrequencyMHz(spec, cfg);
+  perfCfg.frequencyMHz = fpgaTierFrequencyMHz(tier, cfg);
   perfCfg.dataBytes = cfg.fp32 ? 4 : 2;
   return perfCfg;
 }
@@ -129,28 +109,30 @@ FpgaReport fpgaFromInventory(const StructureInventory& inv,
   return rep;
 }
 
-FpgaReport estimateFpgaResources(const stt::DataflowSpec& spec,
-                                 const stt::ArrayConfig& arrayConfig,
-                                 const FpgaConfig& cfg) {
+FpgaReport fpgaReportBlock(const stt::SpecBlockSet& set, std::size_t i,
+                           const stt::ArrayConfig& arrayConfig, int tier,
+                           double utilization, const FpgaConfig& cfg) {
   const int w = cfg.fp32 ? 32 : 16;
   const std::int64_t pes = arrayConfig.rows * arrayConfig.cols;
-  return fpgaFromInventory(deriveInventory(spec, arrayConfig, w),
-                           fpgaFrequencyMHz(spec, cfg), pes, cfg);
+  FpgaReport rep =
+      fpgaFromInventory(deriveInventory(set, i, arrayConfig, w),
+                        fpgaTierFrequencyMHz(tier, cfg), pes, cfg);
+  // Throughput: lanes * utilization at the achieved frequency.
+  const std::int64_t lanes = pes * cfg.vectorLanes;
+  rep.gops = 2.0 * static_cast<double>(lanes) * rep.frequencyMHz * 1e6 *
+             utilization / 1e9;
+  return rep;
 }
 
 FpgaReport estimateFpga(const stt::DataflowSpec& spec,
                         const stt::ArrayConfig& arrayConfig,
                         const FpgaConfig& cfg) {
-  FpgaReport rep = estimateFpgaResources(spec, arrayConfig, cfg);
-
-  // Throughput: lanes * utilization at the achieved frequency and the
-  // datapath's real word size (see fpgaPerfConfig).
-  const std::int64_t lanes = arrayConfig.rows * arrayConfig.cols * cfg.vectorLanes;
-  const sim::PerfResult perf = sim::estimatePerformance(
-      spec, fpgaPerfConfig(spec, arrayConfig, cfg));
-  rep.gops = 2.0 * static_cast<double>(lanes) * rep.frequencyMHz * 1e6 *
-             perf.utilization / 1e9;
-  return rep;
+  const auto set = stt::packSpec(spec);
+  const int tier = fpgaFrequencyTier(*set, 0);
+  const stt::ArrayConfig perfCfg = fpgaTierPerfConfig(arrayConfig, tier, cfg);
+  const sim::PerfResult perf = sim::perfFromMapping(
+      stt::computeMappingPacked(*set, 0, perfCfg), perfCfg);
+  return fpgaReportBlock(*set, 0, arrayConfig, tier, perf.utilization, cfg);
 }
 
 }  // namespace tensorlib::cost

@@ -50,45 +50,44 @@ struct FpgaReport {
   std::string str() const;
 };
 
-/// Post-route clock the interconnect model predicts for `spec` under `cfg`
-/// (systolic designs close timing highest; broadcast nets and unicast
-/// fabrics cost routing slack; placement optimization lifts the result).
-double fpgaFrequencyMHz(const stt::DataflowSpec& spec, const FpgaConfig& cfg);
-
-/// The interconnect model's frequency tiers, exposed for the block path:
-/// tier 0 = neighbor-only wiring (263 MHz), 1 = broadcast nets (231),
-/// 2 = unicast port fabric (221). fpgaFrequencyMHz(spec, cfg) ==
-/// fpgaTierFrequencyMHz(fpgaFrequencyTier(...), cfg) by construction.
+/// The interconnect model's frequency tier of SpecBlockSet slot `i`:
+/// systolic designs close timing highest (neighbor-only wires); multicast
+/// broadcast nets and unicast port fabrics cost routing slack. Tier 0 =
+/// neighbor-only wiring (263 MHz), 1 = broadcast nets (231), 2 = unicast
+/// port fabric (221); any Unicast tensor wins over a broadcast one because
+/// 221 < 231.
 int fpgaFrequencyTier(const stt::SpecBlockSet& set, std::size_t i);
+
+/// Post-route clock of a tier; placement optimization lifts it.
 double fpgaTierFrequencyMHz(int tier, const FpgaConfig& cfg);
 
 /// The array configuration FPGA performance must be modeled at: the caller's
-/// geometry/bandwidth with the frequency forced to fpgaFrequencyMHz and the
-/// word size forced to match the fp32 flag (a stale INT16 dataBytes would
-/// double the deliverable words/cycle for FP32 designs).
-stt::ArrayConfig fpgaPerfConfig(const stt::DataflowSpec& spec,
-                                const stt::ArrayConfig& arrayConfig,
-                                const FpgaConfig& cfg);
+/// geometry/bandwidth with the frequency forced to the tier's post-route
+/// clock and the word size forced to match the fp32 flag (a stale INT16
+/// dataBytes would double the deliverable words/cycle for FP32 designs).
+stt::ArrayConfig fpgaTierPerfConfig(const stt::ArrayConfig& arrayConfig,
+                                    int tier, const FpgaConfig& cfg);
 
-/// The mapping-free part of the estimate: resources, frequency and power
-/// derive from the structural inventory alone, so this costs microseconds
-/// and is exact — it is what the exploration service's lower-bound pruning
-/// pass prices. `gops` is left at 0 (it needs the performance model).
-FpgaReport estimateFpgaResources(const stt::DataflowSpec& spec,
-                                 const stt::ArrayConfig& arrayConfig,
-                                 const FpgaConfig& cfg);
-
-/// Prices an already-derived inventory at an already-decided frequency —
-/// the single arithmetic core behind estimateFpgaResources and the block
-/// evaluation path (`gops` is left at 0, exactly as estimateFpgaResources
-/// leaves it). `pes` is the physical array size rows * cols.
+/// Prices an already-derived inventory at an already-decided frequency
+/// (`gops` is left at 0). `pes` is the physical array size rows * cols.
 FpgaReport fpgaFromInventory(const StructureInventory& inventory,
                              double frequencyMHz, std::int64_t pes,
                              const FpgaConfig& cfg);
 
+/// The FPGA report of SpecBlockSet slot `i` at frequency tier `tier` — the
+/// single arithmetic core behind estimateFpga and the FPGA backend's block
+/// entry points. Resources, frequency and power derive from the structural
+/// inventory alone; `gops` scales the lanes by `utilization`, the perf
+/// model's at fpgaTierPerfConfig(arrayConfig, tier, cfg) (0 gives the
+/// mapping-free figures the lower-bound pass prices, with gops 0).
+FpgaReport fpgaReportBlock(const stt::SpecBlockSet& set, std::size_t i,
+                           const stt::ArrayConfig& arrayConfig, int tier,
+                           double utilization, const FpgaConfig& cfg);
+
 /// Estimates the FPGA implementation of `spec` mapped on `arrayConfig`
 /// (rows x cols PEs, each with cfg.vectorLanes MAC lanes) running the
-/// spec's own workload for utilization.
+/// spec's own workload for utilization: fpgaReportBlock over a one-spec
+/// pack.
 FpgaReport estimateFpga(const stt::DataflowSpec& spec,
                         const stt::ArrayConfig& arrayConfig,
                         const FpgaConfig& cfg);

@@ -224,10 +224,10 @@ struct ExplorationService::Impl {
     return {entry, false};
   }
 
-  /// Computes an entry's evaluation once, through the packed models. They
-  /// equal the scalar CostBackend::estimatePerf/evaluate on the same spec
-  /// (the equivalence contract, pinned by tests/block_eval_test.cpp), so
-  /// every query that shares the entry reads what the scalar models say.
+  /// Computes an entry's evaluation once, through the packed models. The
+  /// result depends on the spec alone, not on the set it was packed in (the
+  /// equivalence contract, pinned by tests/block_eval_test.cpp), so every
+  /// query that shares the entry reads the same values.
   const EvalEntry& forceBlock(const std::shared_ptr<EvalEntry>& entry,
                               const stt::SpecBlockSet& set, std::size_t i,
                               const stt::ArrayConfig& array,
@@ -749,8 +749,7 @@ std::vector<DesignReport> ExplorationService::evaluateAll(
 DesignReport ExplorationService::evaluate(const ExploreQuery& query,
                                           const stt::DataflowSpec& spec) {
   const auto backend = makeBackend(query);
-  const auto set = stt::packSpecBlocks(
-      std::make_shared<const std::vector<stt::DataflowSpec>>(1, spec));
+  const auto set = stt::packSpec(spec);
   stt::BlockMappingStore store(backend->blockSlotCount(*set));
   const auto entry =
       impl_->evalEntry(impl_->evalPrefix(query, *backend) + specKey(spec)).first;

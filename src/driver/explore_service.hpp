@@ -22,8 +22,8 @@
 //     stt::BlockMappingStore. run()/runBatch() walk each work unit in
 //     windows of 64 candidates: peek the cache, lower-bound the rest in one
 //     packed pass, cut dominated candidates, evaluate survivors. The
-//     scalar models (CostBackend::estimatePerf/evaluate) stay as the
-//     independent test oracle the packed ones are pinned to.
+//     packed models are pinned to an independent scalar reference that
+//     lives with the tests.
 //   * Incremental Pareto streaming: run()/runBatch() fold every evaluated
 //     point into a (cycles, power, area) ParetoFrontier on the fly and keep
 //     reports only for frontier residents, instead of materializing the

@@ -60,39 +60,101 @@ PerfResult accumulate(const stt::TileMapping& mapping,
 }
 
 /// Max product of distinct selected-loop extents assignable injectively to
-/// tensor dimensions with a nonzero coefficient — the covered-extent bound
-/// behind the bandwidth term of cyclesLowerBound.
-std::int64_t coveredExtents(const linalg::IntMatrix& coeff,
-                            const linalg::IntVector& extents, std::size_t dim,
+/// tensor dimensions with a nonzero coefficient (|coefficient| block of
+/// rank rows x 3, row-major) — the covered-extent bound behind the
+/// bandwidth terms of cyclesLowerBound.
+std::int64_t coveredExtents(const std::int64_t* absC, std::size_t rank,
+                            const std::int64_t* extents, std::size_t dim,
                             unsigned usedMask) {
-  if (dim == coeff.rows()) return 1;
-  std::int64_t best = coveredExtents(coeff, extents, dim + 1, usedMask);
-  for (std::size_t j = 0; j < 3; ++j) {
-    if ((usedMask & (1u << j)) != 0 || coeff.at(dim, j) == 0) continue;
-    best = std::max(
-        best, linalg::checkedMul(extents[j], coveredExtents(coeff, extents,
-                                                            dim + 1,
-                                                            usedMask | (1u << j))));
-  }
-  return best;
-}
-
-/// coveredExtents over a packed |coefficient| block (rank rows x 3,
-/// row-major): same recursion, same result — the scalar version only reads
-/// the coefficients' zero pattern.
-std::int64_t coveredExtentsPacked(const std::int64_t* absC, std::size_t rank,
-                                  const std::int64_t* extents, std::size_t dim,
-                                  unsigned usedMask) {
   if (dim == rank) return 1;
-  std::int64_t best = coveredExtentsPacked(absC, rank, extents, dim + 1, usedMask);
+  std::int64_t best = coveredExtents(absC, rank, extents, dim + 1, usedMask);
   for (std::size_t j = 0; j < 3; ++j) {
     if ((usedMask & (1u << j)) != 0 || absC[dim * 3 + j] == 0) continue;
     best = std::max(best, linalg::checkedMul(
                               extents[j],
-                              coveredExtentsPacked(absC, rank, extents, dim + 1,
-                                                   usedMask | (1u << j))));
+                              coveredExtents(absC, rank, extents, dim + 1,
+                                             usedMask | (1u << j))));
   }
   return best;
+}
+
+/// Everything cyclesLowerBound reads: per-list constants, the selection's
+/// extents and outer product, the two space rows as |values| and each
+/// tensor's |access| block (tensor k at absC + k * rankStride * 3).
+struct BoundInputs {
+  std::int64_t macs;
+  std::int64_t outer;
+  const std::int64_t* extents;
+  const std::int64_t* absRow0;
+  const std::int64_t* absRow1;
+  std::size_t tensorCount;
+  const std::int64_t* absC;
+  std::size_t rankStride;
+  const std::size_t* tensorRank;
+};
+
+/// The cycle lower bound (see perf.hpp for the three terms and why each is
+/// sound). It never reads the time row.
+std::int64_t boundCycles(const BoundInputs& in,
+                         const stt::ArrayConfig& config) {
+  // Compute bound: a full-rank transform maps at most one MAC per PE per
+  // cycle at any tiling and replication, so totalCycles >= totalMacs / rate
+  // with rate capped at rows * cols. (floor, not ceil, below absorbs the
+  // floating-point division's last ulp.)
+  double rate = static_cast<double>(config.rows * config.cols);
+  if (rate <= 0.0) rate = 1.0;
+
+  // Bandwidth rate cap: a pass of any tile g sustains at most
+  // wordsPerCycle * intensity(g) MACs per cycle (replication scales traffic
+  // and MACs alike), and for every injective matching of a tensor's
+  // dimensions to selected loops, intensity(g) <= product of the UNMATCHED
+  // loops' tile extents. Tile extents are individually capped by the array
+  // fit (1 + |t_spatial_j| * (g_j - 1) must fit the rows/cols span), so
+  //   intensity <= min over tensors of prod(caps) / bestMatchedProduct.
+  const double wordsPerCycle = config.wordsPerCycle();
+  const bool bandwidthLimited =
+      wordsPerCycle > 0.0 && std::isfinite(wordsPerCycle);
+  if (bandwidthLimited) {
+    std::int64_t caps[3];
+    for (std::size_t j = 0; j < 3; ++j) {
+      std::int64_t cap = in.extents[j];
+      if (in.absRow0[j] != 0)
+        cap = std::min(cap, 1 + (config.rows - 1) / in.absRow0[j]);
+      if (in.absRow1[j] != 0)
+        cap = std::min(cap, 1 + (config.cols - 1) / in.absRow1[j]);
+      caps[j] = std::max<std::int64_t>(cap, 1);
+    }
+    const double capProduct = static_cast<double>(
+        linalg::checkedMul(caps[0], linalg::checkedMul(caps[1], caps[2])));
+    double intensityCap = std::numeric_limits<double>::infinity();
+    for (std::size_t k = 0; k < in.tensorCount; ++k) {
+      const double matched = static_cast<double>(coveredExtents(
+          in.absC + k * in.rankStride * 3, in.tensorRank[k], caps, 0, 0u));
+      intensityCap = std::min(intensityCap, capProduct / matched);
+    }
+    rate = std::min(rate, wordsPerCycle * intensityCap);
+  }
+  std::int64_t bound = static_cast<std::int64_t>(
+      std::floor(static_cast<double>(in.macs) / rate));
+
+  // Bandwidth bound: each tensor's summed tile footprints cover at least
+  // the product of the extents of distinct selected loops matched (one per
+  // tensor dimension) to nonzero access coefficients — the per-dimension
+  // interval the footprint model charges is at least the tile's extent of
+  // that loop, and tile extents of one loop sum to the full extent across
+  // any grid tiling. Outer iterations repeat the whole sweep.
+  if (bandwidthLimited) {
+    std::int64_t minTraffic = 0;
+    for (std::size_t k = 0; k < in.tensorCount; ++k)
+      minTraffic += linalg::checkedMul(
+          in.outer, coveredExtents(in.absC + k * in.rankStride * 3,
+                                   in.tensorRank[k], in.extents, 0, 0u));
+    // floor, not ceil: immune to last-ulp rounding of the division while
+    // still a valid integer lower bound.
+    bound = std::max(bound, static_cast<std::int64_t>(std::floor(
+                                static_cast<double>(minTraffic) / wordsPerCycle)));
+  }
+  return std::max<std::int64_t>(bound, 1);
 }
 
 }  // namespace
@@ -109,163 +171,25 @@ PerfResult estimatePerformance(const stt::DataflowSpec& spec,
 
 std::int64_t cyclesLowerBound(const stt::DataflowSpec& spec,
                               const stt::ArrayConfig& config) {
-  // Compute bound: a full-rank transform maps at most one MAC per PE per
-  // cycle at any tiling and replication, so totalCycles >= totalMacs / rate
-  // with rate capped at rows * cols. (floor, not ceil, below absorbs the
-  // floating-point division's last ulp.)
-  const std::int64_t macs = spec.algebra().totalMacs();
-  double rate = static_cast<double>(config.rows * config.cols);
-  if (rate <= 0.0) rate = 1.0;
-
-  // Bandwidth rate cap: a pass of any tile g sustains at most
-  // wordsPerCycle * intensity(g) MACs per cycle (replication scales traffic
-  // and MACs alike), and for every injective matching of a tensor's
-  // dimensions to selected loops, intensity(g) <= product of the UNMATCHED
-  // loops' tile extents. Tile extents are individually capped by the array
-  // fit (1 + |t_spatial_j| * (g_j - 1) must fit the rows/cols span), so
-  //   intensity <= min over tensors of prod(caps) / bestMatchedProduct.
-  const double wordsPerCycle = config.wordsPerCycle();
-  if (wordsPerCycle > 0.0 && std::isfinite(wordsPerCycle)) {
-    const linalg::IntMatrix& t = spec.transform().matrix();
-    const linalg::IntVector& extents = spec.selection().extents();
-    linalg::IntVector caps(3);
-    for (std::size_t j = 0; j < 3; ++j) {
-      std::int64_t cap = extents[j];
-      if (t.at(0, j) != 0)
-        cap = std::min(cap, 1 + (config.rows - 1) / std::abs(t.at(0, j)));
-      if (t.at(1, j) != 0)
-        cap = std::min(cap, 1 + (config.cols - 1) / std::abs(t.at(1, j)));
-      caps[j] = std::max<std::int64_t>(cap, 1);
-    }
-    const double capProduct = static_cast<double>(
-        linalg::checkedMul(caps[0], linalg::checkedMul(caps[1], caps[2])));
-    double intensityCap = std::numeric_limits<double>::infinity();
-    for (const auto& role : spec.tensors()) {
-      const double matched = static_cast<double>(
-          coveredExtents(role.access.coeff(), caps, 0, 0u));
-      intensityCap = std::min(intensityCap, capProduct / matched);
-    }
-    rate = std::min(rate, wordsPerCycle * intensityCap);
-  }
-  std::int64_t bound = static_cast<std::int64_t>(
-      std::floor(static_cast<double>(macs) / rate));
-
-  // Bandwidth bound: each tensor's summed tile footprints cover at least
-  // the product of the extents of distinct selected loops matched (one per
-  // tensor dimension) to nonzero access coefficients — the per-dimension
-  // interval the footprint model charges is at least the tile's extent of
-  // that loop, and tile extents of one loop sum to the full extent across
-  // any grid tiling. Outer iterations repeat the whole sweep.
-  if (wordsPerCycle > 0.0 && std::isfinite(wordsPerCycle)) {
-    std::int64_t outer = 1;
-    for (std::size_t idx : spec.selection().outerIndices())
-      outer = linalg::checkedMul(outer, spec.algebra().loops()[idx].extent);
-    std::int64_t minTraffic = 0;
-    for (const auto& role : spec.tensors())
-      minTraffic += linalg::checkedMul(
-          outer, coveredExtents(role.access.coeff(), spec.selection().extents(),
-                                0, 0u));
-    // floor, not ceil: immune to last-ulp rounding of the division while
-    // still a valid integer lower bound.
-    bound = std::max(bound, static_cast<std::int64_t>(std::floor(
-                                static_cast<double>(minTraffic) / wordsPerCycle)));
-  }
-  return std::max<std::int64_t>(bound, 1);
+  return cyclesLowerBound(*stt::packSpec(spec), 0, config);
 }
 
 std::int64_t cyclesLowerBound(const stt::SpecBlockSet& set, std::size_t i,
                               const stt::ArrayConfig& config) {
-  // Mirrors the scalar overload term by term (see the comments there); the
-  // differential tests pin the two equal over whole enumerated spaces.
-  const std::int64_t macs = set.algebraMacs;
-  double rate = static_cast<double>(config.rows * config.cols);
-  if (rate <= 0.0) rate = 1.0;
-
   const std::int64_t* absT = set.specAbsT(i);
-  const std::int64_t* extents = set.specExtents(i);
-  const double wordsPerCycle = config.wordsPerCycle();
-  if (wordsPerCycle > 0.0 && std::isfinite(wordsPerCycle)) {
-    std::int64_t caps[3];
-    for (std::size_t j = 0; j < 3; ++j) {
-      std::int64_t cap = extents[j];
-      if (absT[0 * 3 + j] != 0)
-        cap = std::min(cap, 1 + (config.rows - 1) / absT[0 * 3 + j]);
-      if (absT[1 * 3 + j] != 0)
-        cap = std::min(cap, 1 + (config.cols - 1) / absT[1 * 3 + j]);
-      caps[j] = std::max<std::int64_t>(cap, 1);
-    }
-    const double capProduct = static_cast<double>(
-        linalg::checkedMul(caps[0], linalg::checkedMul(caps[1], caps[2])));
-    double intensityCap = std::numeric_limits<double>::infinity();
-    for (std::size_t k = 0; k < set.tensorsPerSpec; ++k) {
-      const double matched = static_cast<double>(coveredExtentsPacked(
-          set.tensorAbsC(i, k), set.tensorRank[k], caps, 0, 0u));
-      intensityCap = std::min(intensityCap, capProduct / matched);
-    }
-    rate = std::min(rate, wordsPerCycle * intensityCap);
-  }
-  std::int64_t bound =
-      static_cast<std::int64_t>(std::floor(static_cast<double>(macs) / rate));
-
-  if (wordsPerCycle > 0.0 && std::isfinite(wordsPerCycle)) {
-    const std::int64_t outer = set.outer[i];
-    std::int64_t minTraffic = 0;
-    for (std::size_t k = 0; k < set.tensorsPerSpec; ++k)
-      minTraffic += linalg::checkedMul(
-          outer, coveredExtentsPacked(set.tensorAbsC(i, k), set.tensorRank[k],
-                                      extents, 0, 0u));
-    bound = std::max(bound, static_cast<std::int64_t>(std::floor(
-                                static_cast<double>(minTraffic) / wordsPerCycle)));
-  }
-  return std::max<std::int64_t>(bound, 1);
+  return boundCycles({set.algebraMacs, set.outer[i], set.specExtents(i), absT,
+                      absT + 3, set.tensorsPerSpec, set.tensorAbsC(i, 0),
+                      set.rankStride, set.tensorRank.data()},
+                     config);
 }
 
 std::int64_t cyclesLowerBound(const stt::PartialTransform& partial,
                               const stt::ArrayConfig& config) {
-  // The packed bound above never reads the time row: its caps use only
-  // |t(0,j)| and |t(1,j)|, and the traffic term is transform-independent.
-  // Evaluating it on a partial matrix (both space rows placed, time row
-  // free) therefore yields the EXACT packed bound of every completion —
-  // which is what makes it a sound branch-and-bound cut predicate.
   const stt::SelectionGeometry& g = *partial.geometry;
-  const std::int64_t macs = g.macs;
-  double rate = static_cast<double>(config.rows * config.cols);
-  if (rate <= 0.0) rate = 1.0;
-
-  const double wordsPerCycle = config.wordsPerCycle();
-  if (wordsPerCycle > 0.0 && std::isfinite(wordsPerCycle)) {
-    std::int64_t caps[3];
-    for (std::size_t j = 0; j < 3; ++j) {
-      std::int64_t cap = g.extents[j];
-      if (partial.absRow0[j] != 0)
-        cap = std::min(cap, 1 + (config.rows - 1) / partial.absRow0[j]);
-      if (partial.absRow1[j] != 0)
-        cap = std::min(cap, 1 + (config.cols - 1) / partial.absRow1[j]);
-      caps[j] = std::max<std::int64_t>(cap, 1);
-    }
-    const double capProduct = static_cast<double>(
-        linalg::checkedMul(caps[0], linalg::checkedMul(caps[1], caps[2])));
-    double intensityCap = std::numeric_limits<double>::infinity();
-    for (std::size_t k = 0; k < g.tensorCount; ++k) {
-      const double matched = static_cast<double>(coveredExtentsPacked(
-          g.tensorAbsC(k), g.tensorRank[k], caps, 0, 0u));
-      intensityCap = std::min(intensityCap, capProduct / matched);
-    }
-    rate = std::min(rate, wordsPerCycle * intensityCap);
-  }
-  std::int64_t bound =
-      static_cast<std::int64_t>(std::floor(static_cast<double>(macs) / rate));
-
-  if (wordsPerCycle > 0.0 && std::isfinite(wordsPerCycle)) {
-    std::int64_t minTraffic = 0;
-    for (std::size_t k = 0; k < g.tensorCount; ++k)
-      minTraffic += linalg::checkedMul(
-          g.outer, coveredExtentsPacked(g.tensorAbsC(k), g.tensorRank[k],
-                                        g.extents.data(), 0, 0u));
-    bound = std::max(bound, static_cast<std::int64_t>(std::floor(
-                                static_cast<double>(minTraffic) / wordsPerCycle)));
-  }
-  return std::max<std::int64_t>(bound, 1);
+  return boundCycles({g.macs, g.outer, g.extents.data(), partial.absRow0.data(),
+                      partial.absRow1.data(), g.tensorCount, g.absC.data(),
+                      g.rankStride, g.tensorRank.data()},
+                     config);
 }
 
 }  // namespace tensorlib::sim

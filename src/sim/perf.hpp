@@ -29,7 +29,8 @@ struct PerfResult {
   std::string str() const;
 };
 
-/// Closed-form performance estimate of `spec` on `config`.
+/// Closed-form performance estimate of `spec` on `config`:
+/// perfFromMapping over stt::computeMapping.
 PerfResult estimatePerformance(const stt::DataflowSpec& spec,
                                const stt::ArrayConfig& config);
 
@@ -58,23 +59,23 @@ PerfResult perfFromMapping(const stt::TileMapping& mapping,
 ///     outer iteration count, divided by the words-per-cycle budget.
 /// The bound is exact for some specs (e.g. utilization-1.0 GEMM designs)
 /// and never exceeds the true cycle count — see the pruning soundness tests.
+/// One formula serves all three overloads: it reads the selection geometry,
+/// |access| coefficients and the two space rows as |values|, never the time
+/// row. The spec overload packs one spec.
 std::int64_t cyclesLowerBound(const stt::DataflowSpec& spec,
                               const stt::ArrayConfig& config);
 
-/// cyclesLowerBound on packed data: the same arithmetic in the same order
-/// over SpecBlockSet slot `i`, bit-identical to the scalar overload on
-/// (*set.source)[i] (every term is sign-invariant, so the |.|-packed
-/// coefficients lose nothing). This is the block pruning pass's inner loop:
-/// no spec, matrix or vector is touched, only contiguous int64 arrays.
+/// cyclesLowerBound of SpecBlockSet slot `i` — the block pruning pass's
+/// inner loop: no spec, matrix or vector is touched, only contiguous int64
+/// arrays.
 std::int64_t cyclesLowerBound(const stt::SpecBlockSet& set, std::size_t i,
                               const stt::ArrayConfig& config);
 
-/// cyclesLowerBound on a partial transform (both space rows placed, time
-/// row free). The packed bound's caps read only |t(0,j)|/|t(1,j)| and its
-/// traffic term is transform-independent, so this equals the packed bound
-/// of EVERY time-row completion exactly — the admissible cut predicate of
-/// the bound-first branch-and-bound enumeration (pinned by the partial-
-/// bound fuzz tests).
+/// cyclesLowerBound of a partial transform (both space rows placed, time
+/// row free). Since the formula never reads the time row, this equals the
+/// packed bound of EVERY time-row completion exactly — the admissible cut
+/// predicate of the bound-first branch-and-bound enumeration (pinned by
+/// stt_boundfirst_test).
 std::int64_t cyclesLowerBound(const stt::PartialTransform& partial,
                               const stt::ArrayConfig& config);
 

@@ -16,17 +16,14 @@ void appendWords(std::string& key, const std::int64_t* words, std::size_t n) {
   key.append(reinterpret_cast<const char*>(words), n * sizeof(std::int64_t));
 }
 
-}  // namespace
-
-std::shared_ptr<const SpecBlockSet> packSpecBlocks(
-    std::shared_ptr<const std::vector<DataflowSpec>> specs) {
+/// Packs `n` specs of one algebra and selection layout (see packSpecBlocks).
+std::shared_ptr<const SpecBlockSet> packSpecs(const DataflowSpec* list,
+                                              std::size_t n) {
   auto set = std::make_shared<SpecBlockSet>();
-  set->source = specs;
-  const std::vector<DataflowSpec>& list = *specs;
-  set->count = list.size();
-  if (list.empty()) return set;
+  set->count = n;
+  if (n == 0) return set;
 
-  const DataflowSpec& first = list.front();
+  const DataflowSpec& first = list[0];
   const std::size_t T = first.tensors().size();
   TL_CHECK(T >= 1 && T <= kBlockMaxTensors,
            "block packing: tensor count out of range");
@@ -46,7 +43,6 @@ std::shared_ptr<const SpecBlockSet> packSpecBlocks(
   }
   if (set->rankStride == 0) set->rankStride = 1;
 
-  const std::size_t n = set->count;
   set->extents.resize(n * 3);
   set->outer.resize(n);
   set->absT.resize(n * 9);
@@ -55,12 +51,6 @@ std::shared_ptr<const SpecBlockSet> packSpecBlocks(
   set->absDir.assign(n * T * 2, 0);
   set->systolicDt.assign(n * T, 0);
   set->absC.assign(n * T * set->rankStride * 3, 0);
-  set->mapClass.resize(n);
-
-  // Mapping-class partition: key on the packed tile-search read set.
-  std::unordered_map<std::string, std::uint32_t> classes;
-  std::string key;
-  key.reserve((3 + 1 + 9 + T * set->rankStride * 3) * sizeof(std::int64_t));
 
   for (std::size_t i = 0; i < n; ++i) {
     const DataflowSpec& spec = list[i];
@@ -101,19 +91,20 @@ std::shared_ptr<const SpecBlockSet> packSpecBlocks(
         for (std::size_t j = 0; j < 3; ++j)
           absC[d * 3 + j] = std::abs(c.at(d, j));
     }
-
-    key.clear();
-    appendWords(key, set->specExtents(i), 3);
-    appendWords(key, &set->outer[i], 1);
-    appendWords(key, set->specAbsT(i), 9);
-    appendWords(key, set->tensorAbsC(i, 0), T * set->rankStride * 3);
-    const auto [it, inserted] =
-        classes.emplace(key, static_cast<std::uint32_t>(classes.size()));
-    (void)inserted;
-    set->mapClass[i] = it->second;
   }
-  set->mapClassCount = classes.size();
+  assignSpecBlockClasses(*set);
   return set;
+}
+
+}  // namespace
+
+std::shared_ptr<const SpecBlockSet> packSpecBlocks(
+    const std::shared_ptr<const std::vector<DataflowSpec>>& specs) {
+  return packSpecs(specs->data(), specs->size());
+}
+
+std::shared_ptr<const SpecBlockSet> packSpec(const DataflowSpec& spec) {
+  return packSpecs(&spec, 1);
 }
 
 SelectionGeometry makeSelectionGeometry(const SpecContext& context) {
@@ -153,7 +144,6 @@ SelectionGeometry makeSelectionGeometry(const SpecContext& context) {
 }
 
 void resetSpecBlocks(SpecBlockSet& set, const SelectionGeometry& geometry) {
-  set.source.reset();
   set.count = 0;
   set.tensorsPerSpec = geometry.tensorCount;
   set.inputCount = geometry.inputCount;
@@ -233,14 +223,14 @@ TileMapping computeMappingPacked(const SpecBlockSet& set, std::size_t i,
   double bestRate = -1.0;
   std::int64_t bestMacs = 0;
 
-  // Same candidate grid as computeMapping — spatial loops scan 1..cap,
-  // non-spatial loops take the full extent — but with the fit check
-  // hoisted: spatial spans are monotone nondecreasing in every tile
-  // extent, so once the *minimal* remaining coordinates overflow the
-  // array, every later candidate in that loop overflows too (the scalar
-  // search merely `continue`s those same candidates, so skipping them
-  // cannot change the winner). Per-tensor footprint factors fixed by the
-  // outer two loops are hoisted into `base`.
+  // The candidate grid of mapping.hpp — spatial loops scan 1..cap,
+  // non-spatial loops take the full extent — with the fit check hoisted:
+  // spatial spans are monotone nondecreasing in every tile extent, so once
+  // the *minimal* remaining coordinates overflow the array, every later
+  // candidate in that loop overflows too (an exhaustive search merely
+  // skips those same candidates, so ending the loop cannot change the
+  // winner). Per-tensor footprint factors fixed by the outer two loops are
+  // hoisted into `base`.
   std::int64_t base[kBlockMaxTensors * kBlockMaxRank];
   for (std::int64_t g0 = spatial[0] ? 1 : caps[0]; g0 <= caps[0]; ++g0) {
     const std::int64_t s0r = 1 + absT[0] * (g0 - 1);
@@ -311,8 +301,8 @@ TileMapping computeMappingPacked(const SpecBlockSet& set, std::size_t i,
       std::max<std::int64_t>(1, repRows) * std::max<std::int64_t>(1, repCols);
   out.outerIterations = set.outer[i];
 
-  // The <=8 tile-shape groups of the remainder grid, in mask order exactly
-  // as computeMapping emits them.
+  // The <=8 tile-shape groups of the remainder grid: full and remainder
+  // extents per loop, in mask order.
   std::int64_t fullCount[3], rem[3];
   for (std::size_t j = 0; j < 3; ++j) {
     fullCount[j] = extents[j] / tile[j];

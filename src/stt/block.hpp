@@ -1,21 +1,23 @@
-// Struct-of-arrays packing of an enumerated design space.
+// Struct-of-arrays packing of an enumerated design space — the one input
+// shape of the model arithmetic.
 //
-// The scalar evaluation path walks pointer-rich DataflowSpec objects one
-// candidate at a time; every bound, mapping search and cost model re-reads
-// the same transform matrix, extents and access coefficients through
-// shared_ptr indirections. A SpecBlockSet packs the read sets of those
-// models — |transform| entries, selected extents, outer-iteration product,
-// per-tensor |access| coefficients, dataflow class tags — into contiguous
-// arrays built once per enumerated list, so block-shaped bound/perf/cost
-// entry points (sim::cyclesLowerBound over a set, cost::CostBackend's
-// block overloads) run as tight loops with no per-candidate allocation.
+// Every bound, tile-mapping search and cost model reads the same handful of
+// facts per candidate: the transform, the selected extents and the access
+// coefficients. A SpecBlockSet packs that read set — |transform| entries,
+// selected extents, outer-iteration product, per-tensor |access|
+// coefficients, dataflow class tags — into contiguous arrays built once per
+// enumerated list, so the models (computeMappingPacked, sim::cyclesLowerBound
+// over a set, cost::CostBackend's block entry points) run as tight loops
+// with no per-candidate allocation. They are the only implementation: the
+// spec-shaped entry points (computeMapping, sim::estimatePerformance,
+// cost::estimateAsic, ...) pack one spec with packSpec and call them.
 //
 // The packed arrays store *absolute values*: every consumer (tile-mapping
 // search, cycle lower bound, structural inventory) is provably
 // sign-invariant, which is also why the mapping-class partition below is
-// coarser than spec identity. Packing never changes results: the packed
-// mapping search and the packed models are pinned bit-identical to their
-// scalar counterparts by tests/block_eval_test.cpp.
+// coarser than spec identity. tests/block_eval_test.cpp pins the packed
+// models field for field to an independent scalar reference kept in
+// tests/scalar_oracle.hpp.
 #pragma once
 
 #include <array>
@@ -34,10 +36,6 @@ namespace tensorlib::stt {
 /// per-tensor rank, total MACs) are stored once. Tensors keep label order:
 /// inputs in formula order, the output last.
 struct SpecBlockSet {
-  /// The source specs (aliased, not copied): the driver still needs real
-  /// DataflowSpecs for frontier reports and for the scalar fallback.
-  std::shared_ptr<const std::vector<DataflowSpec>> source;
-
   std::size_t count = 0;           ///< specs in the set
   std::size_t tensorsPerSpec = 0;  ///< uniform across the list
   std::size_t inputCount = 0;      ///< algebra().inputs().size()
@@ -89,9 +87,13 @@ inline constexpr std::size_t kBlockMaxTensors = 8;
 inline constexpr std::size_t kBlockMaxRank = 8;
 
 /// Packs an enumerated list into a SpecBlockSet (built once per list and
-/// shared by every query over it). The returned set aliases `specs`.
+/// shared by every query over it). The list is read, not retained.
 std::shared_ptr<const SpecBlockSet> packSpecBlocks(
-    std::shared_ptr<const std::vector<DataflowSpec>> specs);
+    const std::shared_ptr<const std::vector<DataflowSpec>>& specs);
+
+/// A one-spec SpecBlockSet: how every spec-shaped model entry point reaches
+/// the packed arithmetic (slot 0 of the result is `spec`).
+std::shared_ptr<const SpecBlockSet> packSpec(const DataflowSpec& spec);
 
 /// Everything the packed models read that is fixed by the (algebra,
 /// selection) pair alone — i.e. the transform-independent slice of a
@@ -131,10 +133,10 @@ struct PartialTransform {
 };
 
 /// Initializes `set` as an empty bound-first window over one selection:
-/// per-list constants come from the geometry, `source` stays null (no
-/// DataflowSpec exists yet — the driver materializes specs lazily, only for
-/// frontier keepers). Clears any previous window contents, so one set is
-/// reused across windows without reallocation.
+/// per-list constants come from the geometry (no DataflowSpec exists yet —
+/// the driver materializes specs lazily, only for frontier keepers). Clears
+/// any previous window contents, so one set is reused across windows
+/// without reallocation.
 void resetSpecBlocks(SpecBlockSet& set, const SelectionGeometry& geometry);
 
 /// Appends one survivor of the bound-first search: |T| from its matrix,
@@ -148,15 +150,16 @@ std::size_t appendSpecBlock(SpecBlockSet& set, const SelectionGeometry& geometry
                             const std::int64_t* absDir,
                             const std::int64_t* systolicDt, std::string label);
 
-/// (Re)builds the mapping-class partition of a window in place, keyed on
-/// exactly the same read set as packSpecBlocks (extents, outer, |T|, |C|).
+/// (Re)builds the mapping-class partition of a set in place, keyed on the
+/// packed tile-search read set (extents, outer, |T|, |C|); packing calls it
+/// once per set.
 void assignSpecBlockClasses(SpecBlockSet& set);
 
-/// computeMapping on packed data: bit-identical to
-/// computeMapping((*set.source)[i], config) — pinned by tests — but
+/// The tile-mapping search (see mapping.hpp) over packed slot `i`:
 /// allocation-free until the winning mapping is materialized, and with
-/// monotone early exits in the tile search (spatial spans only grow with
-/// tile extents, so the first non-fitting candidate ends its loop).
+/// monotone early exits (spatial spans only grow with tile extents, so the
+/// first non-fitting candidate ends its loop). Tests pin it field for field
+/// to the exhaustive reference search in tests/scalar_oracle.hpp.
 TileMapping computeMappingPacked(const SpecBlockSet& set, std::size_t i,
                                  const ArrayConfig& config);
 

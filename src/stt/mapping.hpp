@@ -58,20 +58,18 @@ struct TileMapping {
   std::int64_t serialComputeCycles() const;
 };
 
-/// Computes the tile mapping for a spec on an array. Throws if even a 1x1x1
-/// tile does not fit (cannot happen for full-rank T on a >=1x1 array).
+/// Computes the tile mapping for a spec on an array: the search below, run
+/// by computeMappingPacked (stt/block.hpp) on a one-spec pack. Throws if
+/// even a 1x1x1 tile does not fit (cannot happen for full-rank T on a >=1x1
+/// array).
+///
+/// Spatially involved loops (nonzero space-row coefficient) scan tile
+/// extents 1..min(extent, max(rows, cols)); the others take their full
+/// extent. Among tiles whose space-row spans fit rows x cols, the winner
+/// maximizes MACs per steady-state cycle — max(time-row span, tile traffic
+/// / words per cycle) — ties going to more MACs, then to the first found.
+/// Tile traffic charges each tensor the product over its dimensions of the
+/// interval its affine form sweeps over the tile box.
 TileMapping computeMapping(const DataflowSpec& spec, const ArrayConfig& config);
-
-/// Number of distinct tensor elements the model charges when the selected
-/// loops sweep a box of the given shape (the per-dimension interval-product
-/// footprint computeMapping uses for tile traffic).
-std::int64_t accessFootprint(const tensor::AffineAccess& access,
-                             const linalg::IntVector& shape);
-
-/// Spatial span (number of distinct positions) of the array along a rank-1
-/// reuse direction (dp1, dp2) — the multicast group size / systolic chain
-/// length for that tensor on a rows x cols array.
-std::int64_t spatialSpan(const linalg::IntVector& direction, std::int64_t rows,
-                         std::int64_t cols);
 
 }  // namespace tensorlib::stt

@@ -7,9 +7,13 @@
 //     (scalar_oracle.hpp) across the full workload table x {ASIC, FPGA}
 //     backends x {1, 8} worker threads x work-unit sizes, warm or cold, and
 //     for batched duplicate traffic sharing one evaluation cache.
-//   * Packed-model unit checks: computeMappingPacked equals computeMapping
-//     field for field, and CostBackend::lowerBoundBlock equals lowerBound
-//     exactly (EXPECT_EQ on doubles), on every enumerated spec checked.
+//   * Packed-model unit checks: packing copies every field the models read
+//     off the DataflowSpec; computeMappingPacked equals the oracle's
+//     exhaustive search field for field; CostBackend::lowerBoundBlock
+//     equals the oracle's bound exactly (EXPECT_EQ on doubles); and every
+//     spec-shaped wrapper (computeMapping, estimatePerformance,
+//     cyclesLowerBound, estimateAsic, estimateFpga) equals the oracle and
+//     the block entry points field for field.
 //   * Accounting: hits + misses + pruned + skipped == designs holds,
 //     including deadline-expired partial results where the whole untouched
 //     remainder counts as skipped.
@@ -18,12 +22,15 @@
 #include <memory>
 #include <vector>
 
+#include <cstdlib>
+
 #include "cost/backend.hpp"
 #include "driver/explore_service.hpp"
 #include "scalar_oracle.hpp"
 #include "stt/block.hpp"
 #include "stt/enumerate.hpp"
 #include "stt/mapping.hpp"
+#include "sim/perf.hpp"
 #include "support/fault.hpp"
 #include "tensor/workloads.hpp"
 
@@ -225,7 +232,152 @@ TEST_F(BlockDeadlineTest, GenerousDeadlineChangesNothing) {
 
 // --- packed-model unit checks ------------------------------------------------
 
-TEST(BlockPacked, MappingMatchesComputeMappingAcrossWorkloads) {
+void expectSameMapping(const stt::TileMapping& expected,
+                       const stt::TileMapping& actual) {
+  EXPECT_EQ(expected.fullTile, actual.fullTile);
+  EXPECT_EQ(expected.spatialRowsUsed, actual.spatialRowsUsed);
+  EXPECT_EQ(expected.spatialColsUsed, actual.spatialColsUsed);
+  EXPECT_EQ(expected.replication, actual.replication);
+  EXPECT_EQ(expected.outerIterations, actual.outerIterations);
+  ASSERT_EQ(expected.tiles.size(), actual.tiles.size());
+  for (std::size_t t = 0; t < expected.tiles.size(); ++t) {
+    EXPECT_EQ(expected.tiles[t].shape, actual.tiles[t].shape);
+    EXPECT_EQ(expected.tiles[t].count, actual.tiles[t].count);
+    EXPECT_EQ(expected.tiles[t].macs, actual.tiles[t].macs);
+    EXPECT_EQ(expected.tiles[t].computeCycles, actual.tiles[t].computeCycles);
+    EXPECT_EQ(expected.tiles[t].trafficWords, actual.tiles[t].trafficWords);
+    EXPECT_EQ(expected.tiles[t].tensorFootprints,
+              actual.tiles[t].tensorFootprints);
+  }
+}
+
+void expectSamePerf(const sim::PerfResult& a, const sim::PerfResult& b) {
+  EXPECT_EQ(a.totalCycles, b.totalCycles);
+  EXPECT_EQ(a.computeCycles, b.computeCycles);
+  EXPECT_EQ(a.bandwidthCycles, b.bandwidthCycles);
+  EXPECT_EQ(a.macs, b.macs);
+  EXPECT_EQ(a.trafficWords, b.trafficWords);
+  EXPECT_EQ(a.utilization, b.utilization);
+  EXPECT_EQ(a.throughputGops, b.throughputGops);
+  EXPECT_EQ(a.bandwidthBound, b.bandwidthBound);
+}
+
+void expectSameInventory(const cost::StructureInventory& a,
+                         const cost::StructureInventory& b) {
+  EXPECT_EQ(a.pes, b.pes);
+  EXPECT_EQ(a.multipliers, b.multipliers);
+  EXPECT_EQ(a.accumAdders, b.accumAdders);
+  EXPECT_EQ(a.treeAdders, b.treeAdders);
+  EXPECT_EQ(a.dataRegBits, b.dataRegBits);
+  EXPECT_EQ(a.muxes, b.muxes);
+  EXPECT_EQ(a.busLines, b.busLines);
+  EXPECT_EQ(a.busTaps, b.busTaps);
+  EXPECT_EQ(a.memPorts, b.memPorts);
+  EXPECT_EQ(a.stationaryPes, b.stationaryPes);
+  EXPECT_EQ(a.unicastPorts, b.unicastPorts);
+}
+
+void expectSameAsic(const cost::AsicReport& a, const cost::AsicReport& b) {
+  EXPECT_EQ(a.areaMm2, b.areaMm2);
+  EXPECT_EQ(a.powerMw, b.powerMw);
+  expectSameInventory(a.inventory, b.inventory);
+}
+
+void expectSameFpga(const cost::FpgaReport& a, const cost::FpgaReport& b) {
+  EXPECT_EQ(a.luts, b.luts);
+  EXPECT_EQ(a.dsps, b.dsps);
+  EXPECT_EQ(a.bram, b.bram);
+  EXPECT_EQ(a.lutPct, b.lutPct);
+  EXPECT_EQ(a.dspPct, b.dspPct);
+  EXPECT_EQ(a.bramPct, b.bramPct);
+  EXPECT_EQ(a.frequencyMHz, b.frequencyMHz);
+  EXPECT_EQ(a.gops, b.gops);
+  EXPECT_EQ(a.powerMw, b.powerMw);
+  expectSameInventory(a.inventory, b.inventory);
+}
+
+/// Slot `i` of `set` holds exactly what `spec` says, read off the spec
+/// here independently of the packing code.
+void expectPackedSpec(const stt::SpecBlockSet& set, std::size_t i,
+                      const stt::DataflowSpec& spec) {
+  const std::size_t T = spec.tensors().size();
+  ASSERT_EQ(set.tensorsPerSpec, T);
+  EXPECT_EQ(set.inputCount, spec.algebra().inputs().size());
+  EXPECT_EQ(set.algebraMacs, spec.algebra().totalMacs());
+  EXPECT_EQ(set.labels[i], spec.label());
+
+  const linalg::IntVector& extents = spec.selection().extents();
+  std::int64_t outer = 1;
+  for (std::size_t idx : spec.selection().outerIndices())
+    outer *= spec.algebra().loops()[idx].extent;
+  EXPECT_EQ(set.outer[i], outer);
+  const linalg::IntMatrix& t = spec.transform().matrix();
+  for (std::size_t j = 0; j < 3; ++j) {
+    EXPECT_EQ(set.specExtents(i)[j], extents[j]);
+    for (std::size_t r = 0; r < 3; ++r)
+      EXPECT_EQ(set.specAbsT(i)[r * 3 + j], std::llabs(t.at(r, j)));
+  }
+
+  std::size_t maxRank = 1;
+  for (const auto& role : spec.tensors())
+    maxRank = std::max(maxRank, role.access.coeff().rows());
+  EXPECT_EQ(set.rankStride, maxRank);
+  for (std::size_t k = 0; k < T; ++k) {
+    const stt::TensorRole& role = spec.tensors()[k];
+    const stt::TensorDataflow& df = role.dataflow;
+    const std::size_t ti = set.tensorIndex(i, k);
+    EXPECT_EQ(set.tensorIsOutput[k], role.isOutput ? 1 : 0);
+    EXPECT_EQ(set.tensorRank[k], role.access.coeff().rows());
+    EXPECT_EQ(set.classTag[ti], static_cast<std::uint8_t>(df.dataflowClass));
+    const bool hasDirection = df.direction.size() >= 2;
+    EXPECT_EQ(set.absDir[ti * 2 + 0],
+              hasDirection ? std::llabs(df.direction[0]) : 0);
+    EXPECT_EQ(set.absDir[ti * 2 + 1],
+              hasDirection ? std::llabs(df.direction[1]) : 0);
+    EXPECT_EQ(set.systolicDt[ti],
+              df.dataflowClass == stt::DataflowClass::Systolic
+                  ? std::llabs(df.latticeBasis.at(2, 0))
+                  : 0);
+    const std::int64_t* absC = set.tensorAbsC(i, k);
+    const linalg::IntMatrix& c = role.access.coeff();
+    for (std::size_t d = 0; d < set.rankStride; ++d)
+      for (std::size_t j = 0; j < 3; ++j)
+        EXPECT_EQ(absC[d * 3 + j], d < c.rows() ? std::llabs(c.at(d, j)) : 0)
+            << "tensor " << k << " row " << d;
+  }
+}
+
+TEST(BlockPacked, PackedFieldsMatchSpecsAcrossWorkloads) {
+  for (const auto& w : wl::allWorkloads()) {
+    for (const int maxEntry : {1, 2}) {
+      stt::EnumerationOptions enumeration;
+      enumeration.maxEntry = maxEntry;
+      enumeration.dropAllUnicast = !w.allowAllUnicast;
+      const auto specs = std::make_shared<const std::vector<stt::DataflowSpec>>(
+          stt::enumerateDesignSpace(w.algebra, enumeration));
+      ASSERT_FALSE(specs->empty()) << w.name;
+      const auto set = stt::packSpecBlocks(specs);
+      ASSERT_EQ(set->count, specs->size());
+      ASSERT_EQ(set->labels.size(), specs->size());
+      ASSERT_EQ(set->mapClass.size(), specs->size());
+      for (std::size_t i = 0; i < specs->size(); ++i) {
+        SCOPED_TRACE(w.name + " maxEntry=" + std::to_string(maxEntry) +
+                     " spec=" + std::to_string(i));
+        EXPECT_LT(set->mapClass[i], set->mapClassCount);
+        expectPackedSpec(*set, i, (*specs)[i]);
+        if (i % 5 == 0) {
+          const auto one = stt::packSpec((*specs)[i]);
+          ASSERT_EQ(one->count, 1u);
+          EXPECT_EQ(one->mapClassCount, 1u);
+          EXPECT_EQ(one->mapClass, std::vector<std::uint32_t>{0});
+          expectPackedSpec(*one, 0, (*specs)[i]);
+        }
+      }
+    }
+  }
+}
+
+TEST(BlockPacked, MappingMatchesOracleAcrossWorkloads) {
   for (const auto& w : wl::allWorkloads()) {
     const auto specs = enumerateSpecs(w.algebra, 120, !w.allowAllUnicast);
     ASSERT_FALSE(specs->empty()) << w.name;
@@ -238,34 +390,18 @@ TEST(BlockPacked, MappingMatchesComputeMappingAcrossWorkloads) {
       for (std::size_t i = 0; i < set->count; ++i) {
         SCOPED_TRACE(w.name + " spec=" + std::to_string(i) +
                      " dataBytes=" + std::to_string(dataBytes));
-        const stt::TileMapping expected =
-            stt::computeMapping((*specs)[i], config);
-        const stt::TileMapping actual =
-            stt::computeMappingPacked(*set, i, config);
-        EXPECT_EQ(expected.fullTile, actual.fullTile);
-        EXPECT_EQ(expected.spatialRowsUsed, actual.spatialRowsUsed);
-        EXPECT_EQ(expected.spatialColsUsed, actual.spatialColsUsed);
-        EXPECT_EQ(expected.replication, actual.replication);
-        EXPECT_EQ(expected.outerIterations, actual.outerIterations);
-        ASSERT_EQ(expected.tiles.size(), actual.tiles.size());
-        for (std::size_t t = 0; t < expected.tiles.size(); ++t) {
-          EXPECT_EQ(expected.tiles[t].shape, actual.tiles[t].shape);
-          EXPECT_EQ(expected.tiles[t].count, actual.tiles[t].count);
-          EXPECT_EQ(expected.tiles[t].macs, actual.tiles[t].macs);
-          EXPECT_EQ(expected.tiles[t].computeCycles,
-                    actual.tiles[t].computeCycles);
-          EXPECT_EQ(expected.tiles[t].trafficWords,
-                    actual.tiles[t].trafficWords);
-          EXPECT_EQ(expected.tiles[t].tensorFootprints,
-                    actual.tiles[t].tensorFootprints);
-        }
+        expectSameMapping(oracle::computeMapping((*specs)[i], config),
+                          stt::computeMappingPacked(*set, i, config));
       }
     }
   }
 }
 
-TEST(BlockPacked, LowerBoundBlockEqualsScalarLowerBound) {
-  const auto backends = {cost::makeAsicBackend(16), cost::makeFpgaBackend()};
+TEST(BlockPacked, LowerBoundBlockEqualsOracleLowerBound) {
+  const std::vector<std::pair<std::shared_ptr<const cost::CostBackend>,
+                              oracle::Pricer>>
+      backends{{cost::makeAsicBackend(16), oracle::Pricer::asic(16)},
+               {cost::makeFpgaBackend(), oracle::Pricer::fpgaTarget()}};
   for (const auto& w : wl::allWorkloads()) {
     const auto specs = enumerateSpecs(w.algebra, 96, !w.allowAllUnicast);
     const auto set = stt::packSpecBlocks(specs);
@@ -273,17 +409,69 @@ TEST(BlockPacked, LowerBoundBlockEqualsScalarLowerBound) {
     array.rows = array.cols = 4;
     std::vector<std::size_t> indices(set->count);
     for (std::size_t i = 0; i < set->count; ++i) indices[i] = i;
-    for (const auto& backend : backends) {
+    for (const auto& [backend, pricer] : backends) {
       std::vector<cost::CostBound> packed(set->count);
       backend->lowerBoundBlock(*set, indices.data(), indices.size(), array,
                                packed.data());
       for (std::size_t i = 0; i < set->count; ++i) {
         SCOPED_TRACE(w.name + " spec=" + std::to_string(i) + " backend=" +
                      backend->name());
-        const cost::CostBound scalar = backend->lowerBound((*specs)[i], array);
+        const cost::CostBound scalar = pricer.lowerBound((*specs)[i], array);
         EXPECT_EQ(scalar.cycles, packed[i].cycles);
         EXPECT_EQ(scalar.figures.powerMw, packed[i].figures.powerMw);
         EXPECT_EQ(scalar.figures.area, packed[i].figures.area);
+      }
+    }
+  }
+}
+
+TEST(BlockPacked, SpecWrappersMatchOracleAndBlockFieldForField) {
+  // The spec-shaped entry points pack one spec and run the packed models;
+  // each must equal the oracle's scalar arithmetic and the block entry
+  // points over the whole list, at both backends' operating points.
+  const cost::FpgaConfig fpgaConfig;
+  const auto asicBackend = cost::makeAsicBackend(16);
+  const auto fpgaBackend = cost::makeFpgaBackend(fpgaConfig);
+  const oracle::Pricer asicPricer = oracle::Pricer::asic(16);
+  const oracle::Pricer fpgaPricer = oracle::Pricer::fpgaTarget(fpgaConfig);
+  for (const auto& w : wl::allWorkloads()) {
+    const auto specs = enumerateSpecs(w.algebra, 40, !w.allowAllUnicast);
+    const auto set = stt::packSpecBlocks(specs);
+    for (const std::int64_t side : {4, 16}) {
+      stt::ArrayConfig array;
+      array.rows = array.cols = side;
+      stt::BlockMappingStore asicStore(asicBackend->blockSlotCount(*set));
+      stt::BlockMappingStore fpgaStore(fpgaBackend->blockSlotCount(*set));
+      for (std::size_t i = 0; i < set->count; ++i) {
+        const stt::DataflowSpec& spec = (*specs)[i];
+        for (const oracle::Pricer* pricer : {&asicPricer, &fpgaPricer}) {
+          SCOPED_TRACE(w.name + " spec=" + std::to_string(i) + " side=" +
+                       std::to_string(side) + " backend=" + pricer->name());
+          const stt::ArrayConfig perfCfg = pricer->perfConfig(spec, array);
+          expectSameMapping(oracle::computeMapping(spec, perfCfg),
+                            stt::computeMapping(spec, perfCfg));
+          expectSamePerf(oracle::estimatePerformance(spec, perfCfg),
+                         sim::estimatePerformance(spec, perfCfg));
+          EXPECT_EQ(oracle::cyclesLowerBound(spec, perfCfg),
+                    sim::cyclesLowerBound(spec, perfCfg));
+        }
+        SCOPED_TRACE(w.name + " spec=" + std::to_string(i) + " side=" +
+                     std::to_string(side));
+        const cost::AsicReport asic = cost::estimateAsic(spec, array, 16);
+        const cost::BlockEval asicBlock =
+            asicBackend->evaluateBlock(*set, i, array, asicStore);
+        expectSameAsic(asicBlock.cost.asic, asic);
+        expectSamePerf(asicPricer.evaluate(spec, array).perf, asicBlock.perf);
+
+        const cost::FpgaReport fpga =
+            cost::estimateFpga(spec, array, fpgaConfig);
+        const oracle::Priced fpgaOracle = fpgaPricer.evaluate(spec, array);
+        expectSameFpga(*fpgaOracle.cost.fpga, fpga);
+        const cost::BlockEval fpgaBlock =
+            fpgaBackend->evaluateBlock(*set, i, array, fpgaStore);
+        ASSERT_TRUE(fpgaBlock.cost.fpga.has_value());
+        expectSameFpga(*fpgaBlock.cost.fpga, fpga);
+        expectSamePerf(fpgaOracle.perf, fpgaBlock.perf);
       }
     }
   }

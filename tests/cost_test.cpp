@@ -27,7 +27,8 @@ stt::DataflowSpec gemm16(const std::string& label) {
 
 TEST(Inventory, SstStructure) {
   stt::ArrayConfig cfg;  // 16x16
-  const auto inv = deriveInventory(gemm16("MNK-SST"), cfg, 16);
+  const auto inv =
+      deriveInventory(*stt::packSpec(gemm16("MNK-SST")), 0, cfg, 16);
   EXPECT_EQ(inv.pes, 256);
   EXPECT_EQ(inv.multipliers, 256);
   // A and B systolic with dt=1: (16+1)-bit hops on 240 interior PEs each,
@@ -40,7 +41,8 @@ TEST(Inventory, SstStructure) {
 
 TEST(Inventory, MulticastStructure) {
   stt::ArrayConfig cfg;
-  const auto inv = deriveInventory(gemm16("MNK-MMT"), cfg, 16);
+  const auto inv =
+      deriveInventory(*stt::packSpec(gemm16("MNK-MMT")), 0, cfg, 16);
   EXPECT_EQ(inv.busLines, 32);  // 16 row buses + 16 column buses
   EXPECT_EQ(inv.busTaps, 512);
   EXPECT_EQ(inv.treeAdders, 0);  // output stationary, no tree
@@ -48,7 +50,8 @@ TEST(Inventory, MulticastStructure) {
 
 TEST(Inventory, ReductionTreeStructure) {
   stt::ArrayConfig cfg;
-  const auto inv = deriveInventory(gemm16("MNK-SSM"), cfg, 16);
+  const auto inv =
+      deriveInventory(*stt::packSpec(gemm16("MNK-SSM")), 0, cfg, 16);
   EXPECT_EQ(inv.treeAdders, 256 - 16);  // 16 lines, 15 adders each
 }
 
@@ -61,7 +64,7 @@ TEST(Inventory, MatchesGeneratedNetlistRegisterBits) {
   stt::ArrayConfig cfg;
   cfg.rows = cfg.cols = 4;
   const auto acc = arch::generateAccelerator(*spec, cfg);
-  const auto inv = deriveInventory(*spec, cfg, 16);
+  const auto inv = deriveInventory(*stt::packSpec(*spec), 0, cfg, 16);
   // Netlist extra: the 32-bit controller counter. Datapath regs: A,B chain
   // hops on interior PEs (17 bits each) + C acc+drain (16 bits x 2 x 16).
   EXPECT_EQ(acc.netlist.regBits(), inv.dataRegBits + 32);

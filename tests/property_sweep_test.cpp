@@ -5,7 +5,9 @@
 // trustworthy.
 //
 //  P1  mapping conserves work: sum of tile MACs x outer iterations equals
-//      the algebra's total MAC count, and tile footprints fit the array.
+//      the algebra's total MAC count, and tile footprints fit the array
+//      (the packed search over each selection's list, as the service runs
+//      it).
 //  P2  trace consistency: active points = tile volume, one MAC per
 //      (PE, cycle), demand profile conserves words.
 //  P3  letters round-trip: findDataflow(letters) realizes the same letters.
@@ -18,6 +20,7 @@
 
 #include "arch/testbench.hpp"
 #include "sim/dfsim.hpp"
+#include "stt/block.hpp"
 #include "stt/enumerate.hpp"
 #include "support/error.hpp"
 #include "tensor/workloads.hpp"
@@ -56,10 +59,13 @@ TEST_P(WorkloadSweepTest, MappingConservesWorkAndFits) {
   stt::ArrayConfig cfg;
   cfg.rows = cfg.cols = 4;
   for (const auto& sel : stt::allLoopSelections(workload_.algebra)) {
-    const auto specs = specsFor(sel);
+    const auto list =
+        std::make_shared<const std::vector<stt::DataflowSpec>>(specsFor(sel));
+    const std::vector<stt::DataflowSpec>& specs = *list;
+    const auto set = stt::packSpecBlocks(list);
     for (std::size_t i = 0; i < std::min(workload_.sweepCap, specs.size());
          ++i) {
-      const auto mapping = stt::computeMapping(specs[i], cfg);
+      const auto mapping = stt::computeMappingPacked(*set, i, cfg);
       EXPECT_EQ(mapping.totalMacs(), workload_.algebra.totalMacs())
           << workload_.name << " " << specs[i].describe();
       EXPECT_LE(mapping.spatialRowsUsed, cfg.rows) << specs[i].describe();

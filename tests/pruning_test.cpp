@@ -4,9 +4,9 @@
 //   * Differential: pruned vs exhaustive frontiers (and winners) are
 //     bit-identical across the full workload table x {ASIC, FPGA} backends
 //     x {1, 8} worker threads.
-//   * Unit: cost::boundFigures never exceeds the true evaluated figures in
-//     any axis (cycles, power, area) — checked on fuzz-seeded random
-//     algebras and on the registered workloads, both backends.
+//   * Unit: CostBackend::lowerBoundBlock never exceeds evaluateBlock's
+//     figures in any axis (cycles, power, area) — checked on fuzz-seeded
+//     random algebras and on the registered workloads, both backends.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -14,6 +14,7 @@
 #include "cost/backend.hpp"
 #include "driver/explore_service.hpp"
 #include "sim/perf.hpp"
+#include "stt/block.hpp"
 #include "stt/enumerate.hpp"
 #include "tensor/workloads.hpp"
 #include "verify/fuzz.hpp"
@@ -117,7 +118,8 @@ std::size_t checkBounds(const tensor::TensorAlgebra& algebra,
                         bool dropAllUnicast = true) {
   stt::EnumerationOptions enumeration;
   enumeration.dropAllUnicast = dropAllUnicast;
-  std::vector<stt::DataflowSpec> specs;
+  auto list = std::make_shared<std::vector<stt::DataflowSpec>>();
+  std::vector<stt::DataflowSpec>& specs = *list;
   for (const auto& sel : stt::allLoopSelections(algebra)) {
     if (specs.size() >= cap) break;
     for (auto& spec : stt::enumerateTransforms(algebra, sel, enumeration)) {
@@ -125,12 +127,22 @@ std::size_t checkBounds(const tensor::TensorAlgebra& algebra,
       if (specs.size() >= cap) break;
     }
   }
+  const auto set = stt::packSpecBlocks(list);
+  std::vector<std::size_t> indices(specs.size());
+  for (std::size_t i = 0; i < indices.size(); ++i) indices[i] = i;
   const auto backends = {cost::makeAsicBackend(16), cost::makeFpgaBackend()};
   for (const auto& backend : backends) {
-    for (const auto& spec : specs) {
-      const cost::CostBound bound = cost::boundFigures(spec, array, *backend);
-      const sim::PerfResult perf = backend->estimatePerf(spec, array);
-      const cost::CostReport cost = backend->evaluate(spec, array);
+    std::vector<cost::CostBound> bounds(specs.size());
+    backend->lowerBoundBlock(*set, indices.data(), indices.size(), array,
+                             bounds.data());
+    stt::BlockMappingStore store(backend->blockSlotCount(*set));
+    for (std::size_t i = 0; i < specs.size(); ++i) {
+      const stt::DataflowSpec& spec = specs[i];
+      const cost::CostBound& bound = bounds[i];
+      const cost::BlockEval eval =
+          backend->evaluateBlock(*set, i, array, store);
+      const sim::PerfResult& perf = eval.perf;
+      const cost::CostReport& cost = eval.cost;
       SCOPED_TRACE(algebra.name() + " " + spec.label() + " T=" +
                    spec.transform().str() + " backend=" + backend->name());
       EXPECT_LE(bound.cycles, static_cast<double>(perf.totalCycles));
@@ -178,7 +190,10 @@ TEST(PruningBound, TightForPerfectUtilizationGemm) {
   ASSERT_FALSE(result.frontier.empty());
   const auto& best = result.frontier.front();  // sorted: min cycles first
   const auto backend = cost::makeAsicBackend(q.dataWidth);
-  const cost::CostBound bound = cost::boundFigures(best.spec, q.array, *backend);
+  const std::size_t first = 0;
+  cost::CostBound bound;
+  backend->lowerBoundBlock(*stt::packSpec(best.spec), &first, 1, q.array,
+                           &bound);
   EXPECT_EQ(static_cast<double>(best.perf.totalCycles), bound.cycles);
 }
 

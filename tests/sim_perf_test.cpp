@@ -6,6 +6,7 @@
 
 #include <cmath>
 
+#include "scalar_oracle.hpp"
 #include "sim/dfsim.hpp"
 #include "stt/enumerate.hpp"
 #include "tensor/workloads.hpp"
@@ -198,7 +199,7 @@ TEST(Perf, FinalizeIsDivisionSafe) {
 }
 
 // The cycles lower bound is sound on the named designs and exact for the
-// utilization-1.0 ones.
+// utilization-1.0 ones; both spec wrappers equal the oracle's arithmetic.
 TEST(Perf, CyclesLowerBoundHoldsForNamedDesigns) {
   const auto g = wl::gemm(32, 32, 32);
   stt::ArrayConfig cfg;
@@ -207,6 +208,11 @@ TEST(Perf, CyclesLowerBoundHoldsForNamedDesigns) {
     const auto spec = specOf(g, label);
     const auto perf = estimatePerformance(spec, cfg);
     EXPECT_LE(cyclesLowerBound(spec, cfg), perf.totalCycles) << label;
+    EXPECT_EQ(cyclesLowerBound(spec, cfg), oracle::cyclesLowerBound(spec, cfg))
+        << label;
+    EXPECT_EQ(perf.totalCycles,
+              oracle::estimatePerformance(spec, cfg).totalCycles)
+        << label;
   }
 }
 

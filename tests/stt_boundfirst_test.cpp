@@ -4,9 +4,12 @@
 // (designs accounting, snapshot flags, deadlines).
 //
 //   * Partial-bound admissibility fuzz (200 random algebras): for every
-//     sampled candidate, lowerBoundPartial <= lowerBound(completion) <=
-//     true evaluated figures, per axis, on both backends. A violated
+//     sampled candidate, lowerBoundPartial <= lowerBoundBlock(completion)
+//     <= evaluateBlock's figures, per axis, on both backends. A violated
 //     inequality would let the search cut a frontier resident.
+//   * Partial cycle bound exactness: over sampled space-row pairs of every
+//     table workload, the partial cycle bound equals the packed bound of
+//     every completion in the candidate set, at several array configs.
 //   * Exact differential: boundFirst with dedupeBySignature=false emits the
 //     IDENTICAL spec stream (order, labels, matrices) as the classic
 //     engine, at maxEntry 1 and 2.
@@ -19,6 +22,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <map>
 #include <cstdlib>
 #include <set>
 #include <string>
@@ -28,6 +32,7 @@
 #include "cost/backend.hpp"
 #include "driver/explore_service.hpp"
 #include "driver/snapshot.hpp"
+#include "sim/perf.hpp"
 #include "stt/block.hpp"
 #include "stt/enumerate.hpp"
 #include "tensor/workloads.hpp"
@@ -92,18 +97,23 @@ TEST(BoundFirst, PartialBoundAdmissibilityFuzz) {
           partial.absRow0[j] = std::llabs(m.at(0, j));
           partial.absRow1[j] = std::llabs(m.at(1, j));
         }
-        const stt::DataflowSpec spec =
-            stt::analyzeDataflow(context, stt::SpaceTimeTransform(m));
+        const auto set = stt::packSpec(
+            stt::analyzeDataflow(context, stt::SpaceTimeTransform(m)));
+        const std::size_t slot = 0;
         for (const auto& backend : {asic, fpga}) {
           const cost::CostBound partialBound =
               backend->lowerBoundPartial(partial, array);
-          const cost::CostBound fullBound = backend->lowerBound(spec, array);
+          cost::CostBound fullBound;
+          backend->lowerBoundBlock(*set, &slot, 1, array, &fullBound);
           expectAxisLE(partialBound, fullBound, "partial > completion bound");
           if (checked % 7 == 0) {
             // Close the chain to the true figures on a subsample (the full
             // evaluation pays for a tile-mapping search).
-            const auto perf = backend->estimatePerf(spec, array);
-            const auto cost = backend->evaluate(spec, array);
+            stt::BlockMappingStore store(backend->blockSlotCount(*set));
+            const cost::BlockEval eval =
+                backend->evaluateBlock(*set, slot, array, store);
+            const auto& perf = eval.perf;
+            const auto& cost = eval.cost;
             EXPECT_LE(fullBound.cycles,
                       static_cast<double>(perf.totalCycles));
             EXPECT_LE(fullBound.figures.powerMw, cost.figures.powerMw);
@@ -115,6 +125,71 @@ TEST(BoundFirst, PartialBoundAdmissibilityFuzz) {
     }
   }
   EXPECT_GT(checked, 1000u);
+}
+
+TEST(BoundFirst, PartialCycleBoundEqualsPackedBoundOfEveryCompletion) {
+  // The partial bound and the packed bound are one formula that never reads
+  // the time row, so they must agree exactly — not just <= — on every
+  // completion of a partial transform.
+  std::vector<stt::ArrayConfig> arrays(5);
+  arrays[0].rows = arrays[0].cols = 4;
+  arrays[2].rows = 8;  // FPGA-like operating point: tier clock, FP32 words
+  arrays[2].frequencyMHz = 221.0;
+  arrays[2].dataBytes = 4;
+  // Thin, bandwidth-starved arrays: the space-row tile caps bind the rate
+  // term even on the table's small extents, one side at a time.
+  arrays[3].rows = 1;
+  arrays[3].bandwidthGBps = 4.0;
+  arrays[4].cols = 2;
+  arrays[4].bandwidthGBps = 2.0;
+  stt::EnumerationOptions eo;
+  eo.maxEntry = 2;
+  const auto mats = stt::candidateTransformMatrices(eo);
+  // Every candidate matrix, grouped by its |space rows|: one partial
+  // transform per key, all of the group's matrices its completions.
+  std::map<std::vector<std::int64_t>, std::vector<std::size_t>> completions;
+  for (std::size_t i = 0; i < mats->size(); ++i) {
+    std::vector<std::int64_t> key;
+    for (std::size_t r = 0; r < 2; ++r)
+      for (std::size_t j = 0; j < 3; ++j)
+        key.push_back(std::llabs((*mats)[i].at(r, j)));
+    completions[key].push_back(i);
+  }
+  std::size_t compared = 0;
+  for (const auto& w : wl::allWorkloads()) {
+    for (const stt::LoopSelection& sel : stt::allLoopSelections(w.algebra)) {
+      const auto context = stt::makeSpecContext(w.algebra, sel);
+      const stt::SelectionGeometry geometry =
+          stt::makeSelectionGeometry(*context);
+      std::size_t sample = 0;
+      for (const auto& [key, group] : completions) {
+        if (sample++ % 11 != 0) continue;
+        stt::PartialTransform partial;
+        partial.geometry = &geometry;
+        for (std::size_t j = 0; j < 3; ++j) {
+          partial.absRow0[j] = key[j];
+          partial.absRow1[j] = key[3 + j];
+        }
+        auto specs = std::make_shared<std::vector<stt::DataflowSpec>>();
+        for (const std::size_t m : group)
+          specs->push_back(stt::analyzeDataflow(
+              context, stt::SpaceTimeTransform((*mats)[m])));
+        const auto set = stt::packSpecBlocks(specs);
+        for (const stt::ArrayConfig& array : arrays) {
+          const std::int64_t partialBound =
+              sim::cyclesLowerBound(partial, array);
+          for (std::size_t i = 0; i < set->count; ++i) {
+            ASSERT_EQ(partialBound, sim::cyclesLowerBound(*set, i, array))
+                << w.name << " " << sel.label() << " "
+                << (*mats)[group[i]].str() << " array " << array.rows << "x"
+                << array.cols;
+            ++compared;
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(compared, 10000u);
 }
 
 TEST(BoundFirst, NoDedupeStreamIsExactlyClassic) {

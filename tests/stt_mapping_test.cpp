@@ -1,9 +1,12 @@
 // Tests for tiling/mapping onto a physical array: tile choice, spatial
 // spans, replication (the paper's 15-of-16-rows case), traffic footprints.
+// Every expectation holds for both the packed search behind computeMapping
+// and the oracle's exhaustive one (scalar_oracle.hpp).
 #include "stt/mapping.hpp"
 
 #include <gtest/gtest.h>
 
+#include "scalar_oracle.hpp"
 #include "stt/enumerate.hpp"
 #include "tensor/workloads.hpp"
 
@@ -20,12 +23,36 @@ DataflowSpec gemmSpec(const std::string& label, std::int64_t m, std::int64_t n,
   return *spec;
 }
 
+/// computeMapping, checked field for field against the oracle's search.
+TileMapping mapBoth(const DataflowSpec& spec, const ArrayConfig& cfg) {
+  const TileMapping packed = computeMapping(spec, cfg);
+  const TileMapping reference = oracle::computeMapping(spec, cfg);
+  EXPECT_EQ(packed.fullTile, reference.fullTile);
+  EXPECT_EQ(packed.spatialRowsUsed, reference.spatialRowsUsed);
+  EXPECT_EQ(packed.spatialColsUsed, reference.spatialColsUsed);
+  EXPECT_EQ(packed.replication, reference.replication);
+  EXPECT_EQ(packed.outerIterations, reference.outerIterations);
+  EXPECT_EQ(packed.tiles.size(), reference.tiles.size());
+  const std::size_t tiles =
+      std::min(packed.tiles.size(), reference.tiles.size());
+  for (std::size_t t = 0; t < tiles; ++t) {
+    EXPECT_EQ(packed.tiles[t].shape, reference.tiles[t].shape);
+    EXPECT_EQ(packed.tiles[t].count, reference.tiles[t].count);
+    EXPECT_EQ(packed.tiles[t].macs, reference.tiles[t].macs);
+    EXPECT_EQ(packed.tiles[t].computeCycles, reference.tiles[t].computeCycles);
+    EXPECT_EQ(packed.tiles[t].trafficWords, reference.tiles[t].trafficWords);
+    EXPECT_EQ(packed.tiles[t].tensorFootprints,
+              reference.tiles[t].tensorFootprints);
+  }
+  return packed;
+}
+
 TEST(Mapping, GemmSstTileAndCycles) {
   // 8x8x4 GEMM with the Fig.1(b) SST transform on a 4x4 array.
   const auto spec = gemmSpec("MNK-SST", 8, 8, 4);
   ArrayConfig cfg;
   cfg.rows = cfg.cols = 4;
-  const auto mapping = computeMapping(spec, cfg);
+  const auto mapping = mapBoth(spec, cfg);
   EXPECT_EQ(mapping.fullTile[2], 4);  // k unconstrained spatially
   EXPECT_EQ(mapping.spatialRowsUsed, 4);
   EXPECT_EQ(mapping.spatialColsUsed, 4);
@@ -44,7 +71,7 @@ TEST(Mapping, GemmMmtHasNoPipelineSkew) {
   const auto spec = gemmSpec("MNK-MMT", 8, 8, 4);
   ArrayConfig cfg;
   cfg.rows = cfg.cols = 4;
-  const auto mapping = computeMapping(spec, cfg);
+  const auto mapping = mapBoth(spec, cfg);
   ASSERT_EQ(mapping.tiles.size(), 1u);
   EXPECT_EQ(mapping.tiles[0].computeCycles, 4);  // t = k only
 }
@@ -53,7 +80,7 @@ TEST(Mapping, TrafficFootprints) {
   const auto spec = gemmSpec("MNK-MMT", 4, 4, 4);
   ArrayConfig cfg;
   cfg.rows = cfg.cols = 4;
-  const auto mapping = computeMapping(spec, cfg);
+  const auto mapping = mapBoth(spec, cfg);
   ASSERT_EQ(mapping.tiles.size(), 1u);
   const auto& tc = mapping.tiles[0];
   // A[m,k]: 4x4, B[n,k]: 4x4, C[m,n]: 4x4.
@@ -66,7 +93,7 @@ TEST(Mapping, ReplicationPacksSmallTiles) {
   const auto spec = gemmSpec("MNK-MMT", 2, 2, 8);
   ArrayConfig cfg;
   cfg.rows = cfg.cols = 4;
-  const auto mapping = computeMapping(spec, cfg);
+  const auto mapping = mapBoth(spec, cfg);
   EXPECT_EQ(mapping.spatialRowsUsed, 2);
   EXPECT_EQ(mapping.spatialColsUsed, 2);
   EXPECT_EQ(mapping.replication, 4);
@@ -79,7 +106,7 @@ TEST(Mapping, PaperFifteenOfSixteenRows) {
   const auto spec = findDataflowByLabel(conv, "XPQ-MMB");
   ASSERT_TRUE(spec.has_value());
   ArrayConfig cfg;  // 16x16
-  const auto mapping = computeMapping(*spec, cfg);
+  const auto mapping = mapBoth(*spec, cfg);
   const std::int64_t spatialP =
       std::min(mapping.spatialRowsUsed, mapping.spatialColsUsed);
   EXPECT_EQ(spatialP, 3);
@@ -90,7 +117,7 @@ TEST(Mapping, RemainderTilesAccounted) {
   const auto spec = gemmSpec("MNK-SST", 10, 10, 10);
   ArrayConfig cfg;
   cfg.rows = cfg.cols = 4;
-  const auto mapping = computeMapping(spec, cfg);
+  const auto mapping = mapBoth(spec, cfg);
   // 10 = 2 full tiles of 4 + remainder 2, per spatial loop.
   EXPECT_EQ(mapping.totalMacs(), 1000);
   std::int64_t tileCount = 0;
@@ -104,7 +131,7 @@ TEST(Mapping, OuterLoopsMultiply) {
   ASSERT_TRUE(spec.has_value());
   ArrayConfig cfg;
   cfg.rows = cfg.cols = 8;
-  const auto mapping = computeMapping(*spec, cfg);
+  const auto mapping = mapBoth(*spec, cfg);
   // outer loops: y (8), p (3), q (3).
   EXPECT_EQ(mapping.outerIterations, 8 * 3 * 3);
   EXPECT_EQ(mapping.totalMacs(), conv.totalMacs());
@@ -118,17 +145,10 @@ TEST(Mapping, SkewedSpaceRowStillFits) {
   const auto spec = analyzeDataflow(g, LoopSelection(g, {0, 1, 2}), t);
   ArrayConfig cfg;
   cfg.rows = cfg.cols = 8;
-  const auto mapping = computeMapping(spec, cfg);
+  const auto mapping = mapBoth(spec, cfg);
   EXPECT_LE(mapping.spatialRowsUsed, 8);
   EXPECT_LE(mapping.spatialColsUsed, 8);
   EXPECT_EQ(mapping.totalMacs(), 16 * 16 * 16);
-}
-
-TEST(Mapping, SpatialSpanHelper) {
-  EXPECT_EQ(spatialSpan(linalg::IntVector{1, 0, 0}, 16, 16), 16);
-  EXPECT_EQ(spatialSpan(linalg::IntVector{0, 1, 0}, 16, 8), 8);
-  EXPECT_EQ(spatialSpan(linalg::IntVector{1, 1, 0}, 16, 8), 8);   // diagonal
-  EXPECT_EQ(spatialSpan(linalg::IntVector{2, 0, 0}, 16, 16), 8);  // stride 2
 }
 
 TEST(Mapping, TotalsScaleWithProblem) {
@@ -136,7 +156,7 @@ TEST(Mapping, TotalsScaleWithProblem) {
     const auto spec = gemmSpec("MNK-SST", size, size, size);
     ArrayConfig cfg;
     cfg.rows = cfg.cols = 8;
-    const auto mapping = computeMapping(spec, cfg);
+    const auto mapping = mapBoth(spec, cfg);
     EXPECT_EQ(mapping.totalMacs(), size * size * size);
     EXPECT_GT(mapping.totalTrafficWords(), 0);
     EXPECT_GT(mapping.serialComputeCycles(), 0);
