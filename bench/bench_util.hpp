@@ -2,8 +2,15 @@
 #pragma once
 
 #include <algorithm>
+#include <atomic>
+#include <chrono>
+#include <cmath>
+#include <cstddef>
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <map>
+#include <memory_resource>
 #include <string>
 #include <vector>
 
@@ -61,6 +68,64 @@ inline double median(std::vector<double> samples) {
   const std::size_t mid = samples.size() / 2;
   return samples.size() % 2 == 1 ? samples[mid]
                                  : (samples[mid - 1] + samples[mid]) / 2.0;
+}
+
+/// Host calibration for absolute time budgets, the kernel perfbench runs
+/// (see "Steadiness" in perfbench/README.md): a fixed mix like the
+/// library's own hot paths (ordered-map inserts and lookups, a sort, string
+/// building, floating point) that does not call tensorlib. Every allocation
+/// comes from an arena reserved up front, in the same order on every run,
+/// so heap fragmentation does not move it. A shared host that slows down
+/// for seconds at a time slows the kernel with it; dividing by the kernel
+/// time turns a raw time into time on a reference host where the kernel
+/// takes kCalibrationReferenceMs.
+constexpr double kCalibrationReferenceMs = 6.0;
+
+/// The fastest of `runs` timed runs of the calibration kernel, in ms.
+inline double calibrationMs(int runs) {
+  static std::atomic<std::uint64_t> sink{0};  // keeps the result observable
+  std::vector<std::byte> arena(std::size_t{2} << 20);
+  double fastest = 0;
+  for (int run = 0; run < runs; ++run) {
+    const auto start = std::chrono::steady_clock::now();
+    std::pmr::monotonic_buffer_resource pool(
+        arena.data(), arena.size(), std::pmr::null_memory_resource());
+    std::uint64_t h = 1469598103934665603ull, acc = 0;
+    std::pmr::map<std::uint32_t, std::uint32_t> map(&pool);
+    std::pmr::vector<std::uint32_t> keys(&pool);
+    keys.reserve(20000);
+    for (std::uint32_t i = 0; i < 20000; ++i) {
+      h = (h ^ i) * 1099511628211ull;
+      map[static_cast<std::uint32_t>(h >> 40)] += i;
+      keys.push_back(static_cast<std::uint32_t>(h));
+    }
+    std::sort(keys.begin(), keys.end());
+    for (const auto k : keys) {
+      const auto it = map.lower_bound(k >> 8);
+      if (it != map.end()) acc += it->second;
+    }
+    std::pmr::string text(&pool);
+    text.reserve(6000);
+    for (int i = 0; i < 2000; ++i) {
+      text += std::to_string(i * 31);
+      if (text.size() > 4000) text.erase(0, 2000);
+    }
+    double f = 0;
+    for (int i = 1; i < 50000; ++i) f += std::sqrt(static_cast<double>(i)) / i;
+    sink.fetch_add(acc + text.size() + static_cast<std::uint64_t>(f),
+                   std::memory_order_relaxed);
+    const double ms = std::chrono::duration<double, std::milli>(
+                          std::chrono::steady_clock::now() - start)
+                          .count();
+    fastest = run == 0 ? ms : std::min(fastest, ms);
+  }
+  return fastest;
+}
+
+/// `ms` measured while the kernel took `kernelMs`, as time on the
+/// reference host.
+inline double atReferenceSpeed(double ms, double kernelMs) {
+  return ms * kCalibrationReferenceMs / kernelMs;
 }
 
 /// The paper's evaluation array: 16x16 PEs, 320 MHz, 32 GB/s, INT16.

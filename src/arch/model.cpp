@@ -48,6 +48,35 @@ linalg::IntVector unflatten(const linalg::IntVector& shape, std::int64_t flat) {
   return index;
 }
 
+/// The producer-output flat index feeding the consumer's chained-input
+/// element `element + offset` (chainSource followed by flatIndex over the
+/// producer shape, without materializing either element); -1 for
+/// zero-filled positions (halo / flat tail).
+std::int64_t chainSourceFlat(const ChainRule& rule,
+                             const linalg::IntVector& element,
+                             const linalg::IntVector& offset) {
+  const auto flat = static_cast<std::int64_t>(
+      shiftedFlatIndex(rule.consumerShape, element, offset));
+  if (rule.kind != ChainKind::Embed)
+    return flat < elementCount(rule.producerShape) ? flat : -1;
+  std::int64_t src = 0;
+  for (std::size_t d = 0; d < element.size(); ++d) {
+    const std::int64_t v = element[d] + offset[d];
+    if (v >= rule.producerShape[d]) return -1;
+    src = src * rule.producerShape[d] + v;
+  }
+  return src;
+}
+
+/// Index of the layer's chained tensor in spec.tensors(); npos for layer 0.
+std::size_t chainedTensorIndex(const ModelLayer& layer) {
+  const auto& tensors = layer.acc.spec.tensors();
+  for (std::size_t i = 0; i < tensors.size(); ++i)
+    if (!tensors[i].isOutput && tensors[i].tensor == layer.chainedTensor)
+      return i;
+  return std::string::npos;
+}
+
 /// Structural producer/consumer linkage of one inter-layer buffer, derived
 /// purely from the two layers' symbolic stage schedules: which elements
 /// each producer stage first/last writes, which producer stage each
@@ -68,37 +97,42 @@ LinkTables buildLinkTables(const ModelLayer& producer,
                            const ModelLayer& consumer) {
   const ChainRule& rule = *consumer.chain;
   const std::int64_t total = elementCount(rule.producerShape);
+  const StageSchedules& produced = producer.stages;
+  const StageSchedules& consumed = consumer.stages;
 
   LinkTables t;
-  t.allocAtStart.assign(producer.stages.size(), 0);
-  t.freeAtProducerDone.assign(producer.stages.size(), 0);
-  t.freeAtConsumerDone.assign(consumer.stages.size(), 0);
-  t.needStage.assign(consumer.stages.size(), -1);
+  t.allocAtStart.assign(produced.stages.size(), 0);
+  t.freeAtProducerDone.assign(produced.stages.size(), 0);
+  t.freeAtConsumerDone.assign(consumed.stages.size(), 0);
+  t.needStage.assign(consumed.stages.size(), -1);
 
   std::vector<std::int64_t> firstWriter(total, -1), lastWriter(total, -1),
       lastReader(total, -1);
-  for (std::size_t s = 0; s < producer.stages.size(); ++s)
-    for (const auto& sample : producer.stages[s].samples) {
-      const std::int64_t flat = flatIndex(rule.producerShape, sample.element);
+  for (std::size_t s = 0; s < produced.stages.size(); ++s) {
+    const linalg::IntVector& offset = produced.stages[s].offset.back();
+    for (const auto& sample : produced.templateOf(s).samples) {
+      const std::size_t flat =
+          shiftedFlatIndex(rule.producerShape, sample.element, offset);
       if (firstWriter[flat] < 0) {
         firstWriter[flat] = static_cast<std::int64_t>(s);
         ++t.allocAtStart[s];
       }
       lastWriter[flat] = static_cast<std::int64_t>(s);
     }
+  }
 
-  for (std::size_t s = 0; s < consumer.stages.size(); ++s)
-    for (const auto& poke : consumer.stages[s].pokes) {
-      if (poke.isValid) continue;
-      const auto& role = consumer.acc.spec.tensors()[poke.tensorIndex];
-      if (role.tensor != consumer.chainedTensor) continue;
-      const auto src = chainSource(rule, poke.element);
-      if (!src) continue;  // zero halo / flat tail
-      const std::int64_t flat = flatIndex(rule.producerShape, *src);
+  const std::size_t chained = chainedTensorIndex(consumer);
+  for (std::size_t s = 0; s < consumed.stages.size(); ++s) {
+    const linalg::IntVector& offset = consumed.stages[s].offset[chained];
+    for (const auto& poke : consumed.templateOf(s).pokes) {
+      if (poke.isValid || poke.tensorIndex != chained) continue;
+      const std::int64_t flat = chainSourceFlat(rule, poke.element, offset);
+      if (flat < 0) continue;              // zero halo / flat tail
       if (lastWriter[flat] < 0) continue;  // never written: final zero
       t.needStage[s] = std::max(t.needStage[s], lastWriter[flat]);
       lastReader[flat] = static_cast<std::int64_t>(s);
     }
+  }
 
   for (std::int64_t flat = 0; flat < total; ++flat) {
     if (firstWriter[flat] < 0) continue;
@@ -144,8 +178,8 @@ ModelSchedulePlan schedule(const ModelAccelerator& model,
   plan.peaks.assign(L > 0 ? L - 1 : 0, 0);
   std::vector<std::int64_t> occ(L > 0 ? L - 1 : 0, 0);
   for (std::size_t l = 0; l < L; ++l) {
-    state[l].done.assign(model.layers[l].stages.size(), false);
-    plan.stageStart[l].assign(model.layers[l].stages.size(), -1);
+    state[l].done.assign(model.layers[l].stages.stages.size(), false);
+    plan.stageStart[l].assign(model.layers[l].stages.stages.size(), -1);
   }
 
   const auto depsOk = [&](std::size_t l) {
@@ -196,7 +230,8 @@ ModelSchedulePlan schedule(const ModelAccelerator& model,
         occ[l] += links[l].allocAtStart[stage];
         plan.peaks[l] = std::max(plan.peaks[l], occ[l]);
       }
-      const std::int64_t lastCycle = model.layers[l].stages[stage].lastCycle;
+      const std::int64_t lastCycle =
+          model.layers[l].stages.templateOf(stage).lastCycle;
       st.pending.push_back({now + lastCycle + 1, stage});
       maxCycle = std::max(maxCycle, now + lastCycle);
       st.slotFreeAt = now + period;
@@ -448,27 +483,38 @@ ModelRunResult runModelAccelerator(const ModelAccelerator& model,
   for (std::size_t l = 0; l < L; ++l) {
     const ModelLayer& layer = model.layers[l];
     const auto& tensors = layer.acc.spec.tensors();
-    for (std::size_t s = 0; s < layer.stages.size(); ++s) {
+    const std::size_t chained = l > 0 ? chainedTensorIndex(layer)
+                                      : std::string::npos;
+    std::vector<const tensor::DenseTensor*> inputs;
+    for (std::size_t i = 0; i < tensors.size(); ++i)
+      inputs.push_back(tensors[i].isOutput || i == chained
+                           ? nullptr
+                           : &envs[l].at(tensors[i].tensor));
+    for (std::size_t s = 0; s < layer.stages.stages.size(); ++s) {
       const std::int64_t base = plan.stageStart[l][s];
-      for (const auto& poke : layer.stages[s].pokes) {
+      const StageRef& ref = layer.stages.stages[s];
+      const StageTemplate& st = layer.stages.templates[ref.templateIndex];
+      for (const auto& poke : st.pokes) {
         PokeEv ev{layer.nodeOffset + poke.port, 1, -1, -1};
         if (!poke.isValid) {
-          const auto& role = tensors[poke.tensorIndex];
-          if (l > 0 && role.tensor == layer.chainedTensor) {
-            const auto src = chainSource(*layer.chain, poke.element);
+          const linalg::IntVector& offset = ref.offset[poke.tensorIndex];
+          if (poke.tensorIndex == chained) {
             ev.srcLayer = static_cast<std::int32_t>(l - 1);
-            ev.srcFlat =
-                src ? flatIndex(layer.chain->producerShape, *src) : -1;
+            ev.srcFlat = chainSourceFlat(*layer.chain, poke.element, offset);
           } else {
-            ev.bits = encode(envs[l].at(role.tensor).at(poke.element), cfg);
+            const tensor::DenseTensor& t = *inputs[poke.tensorIndex];
+            ev.bits = encode(
+                t.raw()[shiftedFlatIndex(t.shape(), poke.element, offset)],
+                cfg);
           }
         }
         pokesAt[static_cast<std::size_t>(base + poke.cycle)].push_back(ev);
       }
-      for (const auto& sample : layer.stages[s].samples)
+      for (const auto& sample : st.samples)
         samplesAt[static_cast<std::size_t>(base + sample.cycle)].push_back(
             {static_cast<std::uint32_t>(l), layer.nodeOffset + sample.port,
-             flatIndex(outShapes[l], sample.element)});
+             static_cast<std::int64_t>(shiftedFlatIndex(
+                 outShapes[l], sample.element, ref.offset.back()))});
     }
   }
 

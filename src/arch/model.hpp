@@ -77,7 +77,11 @@ double requantize(double v);
 struct ModelLayer {
   std::string name;
   GeneratedAccelerator acc;
-  std::vector<StageSchedule> stages;  ///< full-workload symbolic schedule
+  /// Full-workload symbolic schedule: one template per tile shape, each
+  /// stage a template plus per-tensor element offsets. The planner reads
+  /// template lastCycles; link tables and the engine resolve elements as
+  /// template element + offset, chained ones through the chain rule.
+  StageSchedules stages;
   hwir::NodeId nodeOffset = 0;        ///< this layer's offset in the top
   std::string chainedTensor;          ///< fed from upstream; empty: layer 0
   std::optional<ChainRule> chain;     ///< engaged iff chainedTensor set

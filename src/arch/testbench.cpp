@@ -26,59 +26,72 @@ double decode(std::uint64_t bits, const HardwareConfig& cfg) {
   return static_cast<double>(RtlSimulator::decodeInt(bits, cfg.dataWidth));
 }
 
+/// One scheduled output read: decode `port` into the output's flat
+/// element `flat`.
 struct Sample {
   NodeId port;
-  linalg::IntVector element;
+  std::size_t flat;
 };
 
-/// Everything a testbench (in-process or emitted Verilog) needs: per-cycle
-/// input pokes, per-cycle output samples, golden values and the run length.
+/// Everything a testbench (in-process or emitted Verilog) needs, indexed by
+/// cycle 0..lastCycle: input pokes and output samples in schedule order,
+/// plus golden values.
 struct TbSchedule {
-  std::map<std::int64_t, std::vector<std::pair<NodeId, std::uint64_t>>> stimulus;
-  std::map<std::int64_t, std::vector<Sample>> samples;
+  std::vector<std::vector<std::pair<NodeId, std::uint64_t>>> stimulus;
+  std::vector<std::vector<Sample>> samples;
   tensor::DenseTensor expected;
   std::int64_t lastCycle = 0;
+
+  TbSchedule(const GeneratedAccelerator& acc, std::int64_t last)
+      : stimulus(static_cast<std::size_t>(last + 1)),
+        samples(static_cast<std::size_t>(last + 1)),
+        expected(acc.spec.algebra().tensorShape(acc.spec.algebra().output())),
+        lastCycle(last) {}
 };
 
-/// Builds the symbolic schedule of ONE stage (one tile at one outer-loop
-/// iteration). Cycles are stage-relative; resolving against an environment
-/// at a base cycle reproduces the historical per-stage stimulus exactly
-/// (stationary loads in resident-map order first, then injections in trace
-/// order, then the per-class sampling plan).
-StageSchedule buildStageScheduleFor(const GeneratedAccelerator& acc,
-                                    const linalg::IntVector& shape,
-                                    const linalg::IntVector& origin,
-                                    const linalg::IntVector& outerFixed) {
+/// The environment's tensor per spec.tensors() entry (output: null).
+std::vector<const tensor::DenseTensor*> inputTensors(
+    const GeneratedAccelerator& acc, const tensor::TensorEnv& env) {
+  std::vector<const tensor::DenseTensor*> inputs;
+  for (const auto& role : acc.spec.tensors())
+    inputs.push_back(role.isOutput ? nullptr : &env.at(role.tensor));
+  return inputs;
+}
+
+/// Builds the template of one tile shape from its canonical trace (origin
+/// 0, outer loops 0). Cycles are stage-relative: stationary loads in
+/// resident-map order first, then injections in trace order, then the
+/// per-class sampling plan.
+StageTemplate buildStageTemplate(const GeneratedAccelerator& acc,
+                                 const sim::TileTrace& trace,
+                                 const linalg::IntVector& shape) {
   const auto& spec = acc.spec;
-  const sim::TileTrace trace =
-      sim::buildTileTrace(spec, shape, origin, outerFixed);
   const std::int64_t loadBase = 0;
   const std::int64_t computeBase = acc.loadCycles;
   const std::int64_t computeEnd = acc.loadCycles + acc.computeCycles;
 
-  StageSchedule st;
+  StageTemplate st;
   st.tileShape = shape;
-  st.tileOrigin = origin;
-  st.outerFixed = outerFixed;
   const auto& selIdx = spec.selection().indices();
 
   // Stationary-family tensors (incl. multicast+stationary): every PE holds
   // exactly one element for the whole pass; derive the PE -> element map
   // from the active points and feed the row load buses column by column.
+  // Residence is shift-invariant, so checking the template checks every
+  // stage of its shape.
   for (std::size_t i = 0; i + 1 < spec.tensors().size(); ++i) {
     const auto& bundle = acc.inputs[i];
     if (bundle.rowLoadPorts.empty()) continue;
     const auto& role = spec.tensors()[i];
     std::map<PeCoord, linalg::IntVector> resident;
+    linalg::IntVector x(spec.algebra().loopCount(), 0);
     for (const auto& ap : trace.active) {
-      linalg::IntVector x = outerFixed;
-      for (std::size_t j = 0; j < 3; ++j)
-        x[selIdx[j]] = origin[j] + ap.iteration[j];
-      const linalg::IntVector element = role.fullAccess.evaluate(x);
+      for (std::size_t j = 0; j < 3; ++j) x[selIdx[j]] = ap.iteration[j];
+      linalg::IntVector element = role.fullAccess.evaluate(x);
       const PeCoord pe{ap.p1, ap.p2};
       const auto it = resident.find(pe);
       if (it == resident.end()) {
-        resident.emplace(pe, element);
+        resident.emplace(pe, std::move(element));
       } else {
         TL_CHECK(it->second == element,
                  "stationary tensor " + role.tensor +
@@ -185,8 +198,8 @@ StageSchedule buildStageScheduleFor(const GeneratedAccelerator& acc,
       fail("testbench: unsupported output class");
   }
 
-  // Normalize to per-cycle order (what the map-keyed schedule historically
-  // produced): stable sort keeps poke/sample order within a cycle.
+  // Normalize to per-cycle order: stable sort keeps poke/sample order
+  // within a cycle.
   std::stable_sort(st.pokes.begin(), st.pokes.end(),
                    [](const SymbolicPoke& a, const SymbolicPoke& b) {
                      return a.cycle < b.cycle;
@@ -202,66 +215,93 @@ StageSchedule buildStageScheduleFor(const GeneratedAccelerator& acc,
   return st;
 }
 
-/// Resolves one symbolic stage against a tensor environment into the
-/// concrete testbench schedule, offset to `baseCycle`.
-void resolveStage(const GeneratedAccelerator& acc, const tensor::TensorEnv& env,
-                  const StageSchedule& st, std::int64_t baseCycle,
-                  TbSchedule& sched) {
+/// Resolves one stage (template + shift) against the environment's
+/// tensors into the concrete testbench schedule, offset to `baseCycle`.
+void resolveStage(const GeneratedAccelerator& acc,
+                  const std::vector<const tensor::DenseTensor*>& inputs,
+                  const StageTemplate& st, const StageRef& ref,
+                  std::int64_t baseCycle, TbSchedule& sched) {
   for (const auto& p : st.pokes) {
-    const std::uint64_t bits =
-        p.isValid
-            ? 1
-            : encode(env.at(acc.spec.tensors()[p.tensorIndex].tensor)
-                         .at(p.element),
-                     acc.config);
-    sched.stimulus[baseCycle + p.cycle].push_back({p.port, bits});
+    std::uint64_t bits = 1;
+    if (!p.isValid) {
+      const tensor::DenseTensor& t = *inputs[p.tensorIndex];
+      bits = encode(t.raw()[shiftedFlatIndex(t.shape(), p.element,
+                                             ref.offset[p.tensorIndex])],
+                    acc.config);
+    }
+    sched.stimulus[static_cast<std::size_t>(baseCycle + p.cycle)].push_back(
+        {p.port, bits});
   }
+  const auto& outShape = sched.expected.shape();
   for (const auto& s : st.samples)
-    sched.samples[baseCycle + s.cycle].push_back({s.port, s.element});
-  sched.lastCycle = std::max(sched.lastCycle, baseCycle + st.lastCycle);
+    sched.samples[static_cast<std::size_t>(baseCycle + s.cycle)].push_back(
+        {s.port, shiftedFlatIndex(outShape, s.element, ref.offset.back())});
 }
 
-/// Golden values of one stage: direct evaluation over the stage's tile box
-/// (the active points of a tile trace are exactly the box).
-void accumulateGolden(const GeneratedAccelerator& acc,
-                      const tensor::TensorEnv& env, const StageSchedule& st,
-                      tensor::DenseTensor& expected) {
-  const auto& spec = acc.spec;
+/// Template elements of every point of a tile box in row-major local
+/// order: box[point][tensor]. Golden evaluation shifts them per stage.
+using GoldenBox = std::vector<std::vector<linalg::IntVector>>;
+
+GoldenBox buildGoldenBox(const stt::DataflowSpec& spec,
+                         const linalg::IntVector& shape) {
   const auto& selIdx = spec.selection().indices();
+  GoldenBox box;
+  linalg::IntVector x(spec.algebra().loopCount(), 0);
   linalg::IntVector local(3, 0);
   while (true) {
-    linalg::IntVector x = st.outerFixed;
-    for (std::size_t j = 0; j < 3; ++j)
-      x[selIdx[j]] = st.tileOrigin[j] + local[j];
-    double prod = 1.0;
-    for (const auto& role : spec.tensors()) {
-      if (role.isOutput) continue;
-      prod *= env.at(role.tensor).at(role.fullAccess.evaluate(x));
-    }
-    expected.at(spec.outputRole().fullAccess.evaluate(x)) += prod;
+    for (std::size_t j = 0; j < 3; ++j) x[selIdx[j]] = local[j];
+    auto& point = box.emplace_back();
+    for (const auto& role : spec.tensors())
+      point.push_back(role.fullAccess.evaluate(x));
 
     std::size_t d = 3;
     bool done = false;
     while (d-- > 0) {
-      if (++local[d] < st.tileShape[d]) break;
+      if (++local[d] < shape[d]) break;
       local[d] = 0;
       if (d == 0) done = true;
     }
     if (done) break;
   }
+  return box;
+}
+
+/// Golden values of one stage: direct evaluation over the stage's tile box
+/// (the active points of a tile trace are exactly the box), inputs
+/// multiplied in label order and points summed in row-major order.
+void accumulateGolden(const std::vector<const tensor::DenseTensor*>& inputs,
+                      const GoldenBox& box, const StageRef& ref,
+                      tensor::DenseTensor& expected) {
+  const std::size_t outSlot = inputs.size() - 1;
+  for (const auto& point : box) {
+    double prod = 1.0;
+    for (std::size_t t = 0; t < outSlot; ++t)
+      prod *= inputs[t]->raw()[shiftedFlatIndex(inputs[t]->shape(), point[t],
+                                                ref.offset[t])];
+    expected.raw()[shiftedFlatIndex(expected.shape(), point[outSlot],
+                                    ref.offset[outSlot])] += prod;
+  }
+}
+
+/// The canonical tile (origin 0, outer 0): every offset is zero.
+StageRef canonicalStage(const GeneratedAccelerator& acc) {
+  StageRef ref{0, linalg::IntVector(3, 0),
+               linalg::IntVector(acc.spec.algebra().loopCount(), 0), {}};
+  ref.offset = sim::TileTraceCache(acc.spec).offsets(ref.tileOrigin,
+                                                     ref.outerFixed);
+  return ref;
 }
 
 /// Single-tile schedule at origin 0 / outer 0 (the acc's own trace).
 TbSchedule buildTbSchedule(const GeneratedAccelerator& acc,
                            const tensor::TensorEnv& env) {
-  TbSchedule sched;
-  const auto& algebra = acc.spec.algebra();
-  sched.expected = tensor::DenseTensor(algebra.tensorShape(algebra.output()));
-  const StageSchedule st = buildStageScheduleFor(
-      acc, acc.tileShape, linalg::IntVector(3, 0),
-      linalg::IntVector(algebra.loopCount(), 0));
-  resolveStage(acc, env, st, 0, sched);
-  accumulateGolden(acc, env, st, sched.expected);
+  const StageTemplate st = buildStageTemplate(acc, acc.trace, acc.tileShape);
+  const StageRef ref = canonicalStage(acc);
+  const auto inputs = inputTensors(acc, env);
+  TbSchedule sched(acc, st.lastCycle);
+  resolveStage(acc, inputs, st, ref, 0, sched);
+  accumulateGolden(inputs, buildGoldenBox(acc.spec, acc.tileShape), ref,
+                   sched.expected);
   return sched;
 }
 
@@ -271,21 +311,18 @@ RtlRunResult runSchedule(const GeneratedAccelerator& acc,
                          const RtlRunOptions& options = {}) {
   RtlRunResult result;
   result.expected = sched.expected;
-  result.collected = tensor::DenseTensor(
-      acc.spec.algebra().tensorShape(acc.spec.algebra().output()));
+  result.collected = tensor::DenseTensor(sched.expected.shape());
+  auto& collected = result.collected.raw();
 
   RtlSimulator sim(acc.netlist, options.engine);
   if (options.corruptTapeMasks) sim.corruptTapeMasksForTest();
   for (std::int64_t cycle = 0; cycle <= sched.lastCycle; ++cycle) {
+    const auto c = static_cast<std::size_t>(cycle);
     sim.clearInputs();
-    const auto st = sched.stimulus.find(cycle);
-    if (st != sched.stimulus.end())
-      for (const auto& [port, bits] : st->second) sim.poke(port, bits);
+    for (const auto& [port, bits] : sched.stimulus[c]) sim.poke(port, bits);
     sim.evaluate();
-    const auto sp = sched.samples.find(cycle);
-    if (sp != sched.samples.end())
-      for (const auto& s : sp->second)
-        result.collected.at(s.element) += decode(sim.peek(s.port), acc.config);
+    for (const auto& s : sched.samples[c])
+      collected[s.flat] += decode(sim.peek(s.port), acc.config);
     sim.step();
   }
   result.cyclesRun = sched.lastCycle + 1;
@@ -295,7 +332,21 @@ RtlRunResult runSchedule(const GeneratedAccelerator& acc,
 
 }  // namespace
 
-std::vector<StageSchedule> buildStageSchedules(const GeneratedAccelerator& acc) {
+std::size_t shiftedFlatIndex(const linalg::IntVector& shape,
+                             const linalg::IntVector& element,
+                             const linalg::IntVector& offset) {
+  TL_CHECK(element.size() == shape.size() && offset.size() == shape.size(),
+           "stage element rank does not match its tensor");
+  std::int64_t flat = 0;
+  for (std::size_t k = 0; k < shape.size(); ++k) {
+    const std::int64_t v = element[k] + offset[k];
+    TL_CHECK(v >= 0 && v < shape[k], "stage element outside its tensor");
+    flat = flat * shape[k] + v;
+  }
+  return static_cast<std::size_t>(flat);
+}
+
+StageSchedules buildStageSchedules(const GeneratedAccelerator& acc) {
   const auto& spec = acc.spec;
   const auto& algebra = spec.algebra();
   const linalg::IntVector extents = spec.selection().extents();
@@ -306,19 +357,27 @@ std::vector<StageSchedule> buildStageSchedules(const GeneratedAccelerator& acc) 
     for (std::int64_t o = 0; o < extents[j]; o += acc.tileShape[j])
       origins[j].push_back(o);
 
-  std::vector<StageSchedule> stages;
+  StageSchedules out;
+  sim::TileTraceCache traces(spec);
+  std::map<linalg::IntVector, std::size_t> templateIndex;
   const auto& outerIdx = spec.selection().outerIndices();
   linalg::IntVector outerFixed(algebra.loopCount(), 0);
   while (true) {
     for (std::int64_t o0 : origins[0])
       for (std::int64_t o1 : origins[1])
         for (std::int64_t o2 : origins[2]) {
-          const linalg::IntVector origin{o0, o1, o2};
+          linalg::IntVector origin{o0, o1, o2};
           linalg::IntVector shape(3);
           for (std::size_t j = 0; j < 3; ++j)
             shape[j] = std::min(acc.tileShape[j], extents[j] - origin[j]);
-          stages.push_back(
-              buildStageScheduleFor(acc, shape, origin, outerFixed));
+          const auto [it, fresh] =
+              templateIndex.emplace(shape, out.templates.size());
+          if (fresh)  // the full tile's trace is the accelerator's own
+            out.templates.push_back(buildStageTemplate(
+                acc, shape == acc.tileShape ? acc.trace : traces.base(shape),
+                shape));
+          out.stages.push_back({it->second, origin, outerFixed,
+                                traces.offsets(origin, outerFixed)});
         }
     bool done = outerIdx.empty();
     for (std::size_t d = outerIdx.size(); d-- > 0;) {
@@ -329,7 +388,7 @@ std::vector<StageSchedule> buildStageSchedules(const GeneratedAccelerator& acc) 
     }
     if (done) break;
   }
-  return stages;
+  return out;
 }
 
 RtlRunResult runAcceleratorTile(const GeneratedAccelerator& acc,
@@ -340,20 +399,28 @@ RtlRunResult runAcceleratorTile(const GeneratedAccelerator& acc,
 
 RtlRunResult runAcceleratorFull(const GeneratedAccelerator& acc,
                                 const tensor::TensorEnv& env) {
-  const auto& algebra = acc.spec.algebra();
-  TbSchedule sched;
-  sched.expected = tensor::DenseTensor(algebra.tensorShape(algebra.output()));
+  const StageSchedules schedules = buildStageSchedules(acc);
+  const std::size_t stageCount = schedules.stages.size();
 
-  const std::vector<StageSchedule> stages = buildStageSchedules(acc);
-  for (std::size_t s = 0; s < stages.size(); ++s) {
-    resolveStage(acc, env, stages[s],
-                 static_cast<std::int64_t>(s) * acc.stagePeriod, sched);
-    accumulateGolden(acc, env, stages[s], sched.expected);
-  }
   // Run to the end of the last stage so final drains complete.
-  sched.lastCycle = std::max(
-      sched.lastCycle,
-      static_cast<std::int64_t>(stages.size()) * acc.stagePeriod - 1);
+  std::int64_t lastCycle =
+      static_cast<std::int64_t>(stageCount) * acc.stagePeriod - 1;
+  for (std::size_t s = 0; s < stageCount; ++s)
+    lastCycle = std::max(lastCycle,
+                         static_cast<std::int64_t>(s) * acc.stagePeriod +
+                             schedules.templateOf(s).lastCycle);
+
+  TbSchedule sched(acc, lastCycle);
+  const auto inputs = inputTensors(acc, env);
+  std::vector<GoldenBox> boxes;
+  for (const auto& st : schedules.templates)
+    boxes.push_back(buildGoldenBox(acc.spec, st.tileShape));
+  for (std::size_t s = 0; s < stageCount; ++s) {
+    const StageRef& ref = schedules.stages[s];
+    resolveStage(acc, inputs, schedules.templates[ref.templateIndex], ref,
+                 static_cast<std::int64_t>(s) * acc.stagePeriod, sched);
+    accumulateGolden(inputs, boxes[ref.templateIndex], ref, sched.expected);
+  }
   return runSchedule(acc, sched);
 }
 
@@ -390,17 +457,15 @@ std::string emitVerilogTestbench(const GeneratedAccelerator& acc,
     os << "    // cycle " << cycle << "\n";
     // Default-drive every input low, then apply the cycle's stimulus.
     for (NodeId id : n.inputs()) os << "    " << n.node(id).name << " = 0;\n";
-    const auto st = sched.stimulus.find(cycle);
-    if (st != sched.stimulus.end())
-      for (const auto& [port, bits] : st->second)
-        os << "    " << n.node(port).name << " = " << n.node(port).width
-           << "'h" << std::hex << bits << std::dec << ";\n";
-    const auto sp = sched.samples.find(cycle);
-    if (sp != sched.samples.end()) {
+    const auto c = static_cast<std::size_t>(cycle);
+    for (const auto& [port, bits] : sched.stimulus[c])
+      os << "    " << n.node(port).name << " = " << n.node(port).width
+         << "'h" << std::hex << bits << std::dec << ";\n";
+    if (!sched.samples[c].empty()) {
       os << "    #4;\n";  // sample just before the latching edge
-      for (const auto& s : sp->second) {
+      for (const auto& s : sched.samples[c]) {
         const std::uint64_t expect =
-            encode(sched.expected.at(s.element), acc.config);
+            encode(sched.expected.raw()[s.flat], acc.config);
         const auto& port = n.node(s.port);
         os << "    if (" << port.name << " !== " << port.width << "'h"
            << std::hex << expect << std::dec << ") begin errors = errors + 1; "

@@ -3,6 +3,14 @@
 // analysis, samples the output ports, and checks the collected results
 // against a direct software evaluation of the same tile.
 //
+// A complete workload runs one controller stage per (outer-loop
+// iteration, tile origin). Stages of one tile shape differ only by a
+// constant element offset per tensor, so the schedule is built once per
+// shape (StageTemplate, from sim::TileTraceCache::base) and every stage is
+// a template plus offsets (StageRef); consumers resolve
+// template element + offset in place. The resolved stimulus and samples
+// are indexed by cycle.
+//
 // This is the paper's verification loop (Chisel -> Verilog -> VCS simulation
 // against a golden model) realized on the hwir netlist.
 #pragma once
@@ -31,10 +39,10 @@ struct RtlRunResult {
   bool matches() const { return maxAbsDiff == 0.0; }
 };
 
-/// One symbolic stimulus entry of a stage schedule: drive `port` at the
+/// One symbolic stimulus entry of a stage template: drive `port` at the
 /// stage-relative `cycle`. Data pokes (isValid == false) carry input
-/// tensor `tensorIndex` (index into spec.tensors(), label order) at
-/// `element`; valid pokes drive the constant 1.
+/// tensor `tensorIndex` (index into spec.tensors(), label order) at the
+/// template `element`; valid pokes drive the constant 1.
 struct SymbolicPoke {
   std::int64_t cycle = 0;
   hwir::NodeId port = 0;
@@ -44,36 +52,65 @@ struct SymbolicPoke {
 };
 
 /// One symbolic output sample: read `port` at the stage-relative `cycle`
-/// and accumulate the decoded value into output element `element` (stages
-/// produce partial sums; the final value is the sum over all stages that
-/// write the element).
+/// and accumulate the decoded value into the template output `element`
+/// (stages produce partial sums; the final value is the sum over all
+/// stages that write the element).
 struct SymbolicSample {
   std::int64_t cycle = 0;
   hwir::NodeId port = 0;
   linalg::IntVector element;
 };
 
-/// The environment-independent schedule of one controller stage (one tile
-/// at one outer-loop iteration): which ports to poke / sample at which
-/// stage-relative cycles, with which tensor elements. Resolving the pokes
-/// against a concrete TensorEnv reproduces the testbench stimulus exactly;
-/// the model-level engine (arch/model.*) resolves chained tensors against
-/// inter-layer buffers instead.
-struct StageSchedule {
+/// The environment-independent schedule of one tile SHAPE, laid out at
+/// tile origin 0 and outer-loop iteration 0: which ports to poke / sample
+/// at which stage-relative cycles, with which tensor elements. Port
+/// resolution and the stationary-residence check run once per template.
+struct StageTemplate {
   std::vector<SymbolicPoke> pokes;      ///< sorted by cycle, poke order kept
   std::vector<SymbolicSample> samples;  ///< sorted by cycle, order kept
   std::int64_t lastCycle = 0;  ///< last scheduled cycle incl. drain tail
-  linalg::IntVector tileShape;   ///< this stage's (possibly remainder) tile
-  linalg::IntVector tileOrigin;  ///< within the selected loops
-  linalg::IntVector outerFixed;  ///< full-nest outer-loop iteration
+  linalg::IntVector tileShape;  ///< full or remainder tile
 };
 
-/// Symbolic schedules for EVERY stage of the complete workload — each
-/// (outer-loop iteration, tile origin) pair in execution order. Stage s of
-/// runAcceleratorFull starts at cycle s * acc.stagePeriod and resolves
-/// exactly these schedules, so engines built on them (arch/model.*)
-/// execute bit-identically to the single-accelerator path.
-std::vector<StageSchedule> buildStageSchedules(const GeneratedAccelerator& acc);
+/// One controller stage (one tile at one outer-loop iteration): a template
+/// shifted to its tile. The stage pokes/samples element
+/// `template element + offset[tensorIndex]` (the output is the last
+/// tensor) at the template's ports and cycles. Access functions are
+/// affine, so the shift is one constant per tensor
+/// (sim::TileTraceCache::offsets), and because adding a constant keeps the
+/// lexicographic order of elements, the trace's element grouping, and
+/// with it the order of injections, pokes and samples, is the same as a
+/// trace built at the stage's own origin.
+struct StageRef {
+  std::size_t templateIndex = 0;
+  linalg::IntVector tileOrigin;  ///< within the selected loops
+  linalg::IntVector outerFixed;  ///< full-nest outer-loop iteration
+  std::vector<linalg::IntVector> offset;  ///< per spec.tensors() entry
+};
+
+/// Symbolic schedules for EVERY stage of the complete workload: one
+/// template per distinct tile shape (at most 8 for 3 selected loops) and
+/// one StageRef per (outer-loop iteration, tile origin) pair in execution
+/// order. Stage s of runAcceleratorFull starts at cycle s * acc.stagePeriod;
+/// resolving against a TensorEnv reproduces the testbench stimulus exactly,
+/// and the model-level engine (arch/model.*) resolves chained tensors
+/// against inter-layer buffers instead, so both execute bit-identically.
+struct StageSchedules {
+  std::vector<StageTemplate> templates;
+  std::vector<StageRef> stages;
+  const StageTemplate& templateOf(std::size_t stage) const {
+    return templates[stages[stage].templateIndex];
+  }
+};
+
+StageSchedules buildStageSchedules(const GeneratedAccelerator& acc);
+
+/// Row-major flat index of `element + offset` in a tensor of `shape`,
+/// without materializing the shifted element. Throws support::Error when
+/// it falls outside the tensor.
+std::size_t shiftedFlatIndex(const linalg::IntVector& shape,
+                             const linalg::IntVector& element,
+                             const linalg::IntVector& offset);
 
 /// Runs one tile (origin 0, outer iterations 0) of the generated
 /// accelerator against the tensor environment.

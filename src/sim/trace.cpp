@@ -120,35 +120,40 @@ TileTrace buildTileTrace(const stt::DataflowSpec& spec,
   return buildTileTrace(spec, shape, origin, outer);
 }
 
+TileTraceCache::TileTraceCache(const stt::DataflowSpec& spec) : spec_(spec) {
+  const linalg::IntVector zero(spec_.algebra().loopCount(), 0);
+  for (const auto& role : spec_.tensors())
+    origin0_.push_back(role.fullAccess.evaluate(zero));
+}
+
 const TileTrace& TileTraceCache::base(const linalg::IntVector& shape) {
   const auto it = byShape_.find(shape);
   if (it != byShape_.end()) return it->second;
   return byShape_.emplace(shape, buildTileTrace(spec_, shape)).first->second;
 }
 
+std::vector<linalg::IntVector> TileTraceCache::offsets(
+    const linalg::IntVector& tileOrigin,
+    const linalg::IntVector& outerFixed) const {
+  const auto& selIdx = spec_.selection().indices();
+  linalg::IntVector x = outerFixed;
+  for (std::size_t j = 0; j < 3; ++j) x[selIdx[j]] = tileOrigin[j];
+
+  std::vector<linalg::IntVector> delta;
+  delta.reserve(spec_.tensors().size());
+  for (std::size_t t = 0; t < spec_.tensors().size(); ++t) {
+    linalg::IntVector d = spec_.tensors()[t].fullAccess.evaluate(x);
+    for (std::size_t k = 0; k < d.size(); ++k) d[k] -= origin0_[t][k];
+    delta.push_back(std::move(d));
+  }
+  return delta;
+}
+
 TileTrace TileTraceCache::materialize(const linalg::IntVector& shape,
                                       const linalg::IntVector& tileOrigin,
                                       const linalg::IntVector& outerFixed) {
   TileTrace out = base(shape);
-
-  // Per-tensor element offset of this (origin, outer) projection: the access
-  // functions are affine, so evaluate(x) - evaluate(0) is the constant shift
-  // between this tile's elements and the canonical trace's.
-  const auto& selIdx = spec_.selection().indices();
-  linalg::IntVector x = outerFixed;
-  for (std::size_t j = 0; j < 3; ++j) x[selIdx[j]] = tileOrigin[j];
-  const linalg::IntVector zero(spec_.algebra().loopCount(), 0);
-
-  std::vector<linalg::IntVector> delta;
-  delta.reserve(spec_.tensors().size());
-  for (const auto& role : spec_.tensors()) {
-    const linalg::IntVector at = role.fullAccess.evaluate(x);
-    const linalg::IntVector origin0 = role.fullAccess.evaluate(zero);
-    linalg::IntVector d(at.size());
-    for (std::size_t k = 0; k < at.size(); ++k) d[k] = at[k] - origin0[k];
-    delta.push_back(std::move(d));
-  }
-
+  const std::vector<linalg::IntVector> delta = offsets(tileOrigin, outerFixed);
   for (auto& inj : out.injections)
     inj.element = added(inj.element, delta[inj.tensorIndex]);
   const std::size_t outSlot = spec_.tensors().size() - 1;

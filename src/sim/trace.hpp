@@ -104,9 +104,14 @@ TileTrace buildTileTrace(const stt::DataflowSpec& spec,
 /// is exactly what shape captures); base() returns the canonical
 /// origin-0/outer-0 trace and materialize() applies the per-tensor offsets
 /// of a concrete (origin, outerFixed) projection on top of it.
+///
+/// Two consumers rely on this shift: the behavioral simulator (dfsim)
+/// materializes whole traces, and the RTL testbench (arch/testbench.*)
+/// builds one stage template per tile shape from base() and resolves every
+/// stage's elements as template element + offsets().
 class TileTraceCache {
  public:
-  explicit TileTraceCache(const stt::DataflowSpec& spec) : spec_(spec) {}
+  explicit TileTraceCache(const stt::DataflowSpec& spec);
 
   /// The canonical trace of a tile shape (origin 0, outer loops 0). The
   /// shift-invariant fields (active points, cycles, spans, demand profile,
@@ -120,8 +125,17 @@ class TileTraceCache {
                         const linalg::IntVector& tileOrigin,
                         const linalg::IntVector& outerFixed);
 
+  /// Per-tensor element offset (spec.tensors() order) of the tile at
+  /// (tileOrigin, outerFixed) from the canonical trace: the access
+  /// functions are affine, so evaluate(x) - evaluate(0) is the constant
+  /// shift between that tile's elements and base()'s.
+  std::vector<linalg::IntVector> offsets(
+      const linalg::IntVector& tileOrigin,
+      const linalg::IntVector& outerFixed) const;
+
  private:
   const stt::DataflowSpec& spec_;
+  std::vector<linalg::IntVector> origin0_;  ///< per tensor: evaluate(0)
   std::map<linalg::IntVector, TileTrace> byShape_;
 };
 

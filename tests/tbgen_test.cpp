@@ -1,6 +1,9 @@
 // Tests for the emitted self-checking Verilog testbench: structure, port
-// coverage, stimulus/check counts consistent with the schedule.
+// coverage, stimulus/check counts consistent with the schedule, and the
+// exact emitted text for designs covering every input and output class.
 #include <gtest/gtest.h>
+
+#include <set>
 
 #include "arch/testbench.hpp"
 #include "hwir/verilog.hpp"
@@ -84,6 +87,67 @@ TEST(TbGen, StimulusCyclesCoverComputePhase) {
     EXPECT_NE(tb.find("// cycle " + std::to_string(c) + "\n"),
               std::string::npos)
         << c;
+}
+
+/// 64-bit FNV-1a.
+std::uint64_t fnv1a(const std::string& text) {
+  std::uint64_t h = 1469598103934665603ull;
+  for (const unsigned char c : text) h = (h ^ c) * 1099511628211ull;
+  return h;
+}
+
+TEST(TbGen, EmittedTextIsPinned) {
+  // (family, index into its enumerated list, data kind) on a 4x4 array,
+  // inputs from makeRandomInputs(algebra, 1). The hashes pin the order and
+  // content of every stimulus and sample line, so a schedule layout change
+  // cannot silently reorder them.
+  struct Pin {
+    const char* family;
+    std::size_t index;
+    hwir::DataKind kind;
+    std::uint64_t hash;
+  };
+  const Pin pins[] = {
+      {"gemm", 0, hwir::DataKind::Float32, 0x41258a7e0b18ddfull},
+      {"gemm", 2, hwir::DataKind::Bits, 0xe54fec1d38521710ull},
+      {"gemm", 4, hwir::DataKind::Bits, 0x1b3b875fd42bb9fdull},
+      {"gemm", 5, hwir::DataKind::Bits, 0x160adb4e3473cb5bull},
+      {"batched-gemv", 0, hwir::DataKind::Bits, 0xf81dab1bca0f49b8ull},
+      {"conv2d", 686, hwir::DataKind::Bits, 0xbbb4c906eb69c9aaull},
+      {"conv2d", 687, hwir::DataKind::Bits, 0x8541ac8944d68d80ull},
+      {"conv2d", 688, hwir::DataKind::Bits, 0x9b5b02e3be0b096cull},
+  };
+  const stt::ArrayConfig array{4, 4, 320.0, 32.0, 2};
+  std::set<stt::DataflowClass> inputClasses, outputClasses;
+  for (const Pin& pin : pins) {
+    const wl::NamedWorkload* w = wl::findWorkload(pin.family);
+    ASSERT_NE(w, nullptr) << pin.family;
+    stt::EnumerationOptions options;
+    options.dropAllUnicast = !w->allowAllUnicast;
+    const auto specs = stt::enumerateDesignSpace(w->algebra, options);
+    ASSERT_LT(pin.index, specs.size()) << pin.family;
+    const stt::DataflowSpec& spec = specs[pin.index];
+    for (const auto& role : spec.tensors())
+      (role.isOutput ? outputClasses : inputClasses)
+          .insert(role.dataflow.dataflowClass);
+
+    HardwareConfig hw;
+    hw.dataKind = pin.kind;
+    if (pin.kind == hwir::DataKind::Float32) hw.dataWidth = 32;
+    const auto acc = generateAccelerator(spec, array, hw);
+    const std::string tb =
+        emitVerilogTestbench(acc, tensor::makeRandomInputs(w->algebra, 1));
+    EXPECT_EQ(fnv1a(tb), pin.hash)
+        << pin.family << " #" << pin.index << " " << spec.label() << " 0x"
+        << std::hex << fnv1a(tb);
+  }
+  using C = stt::DataflowClass;
+  EXPECT_EQ(inputClasses,
+            (std::set<C>{C::Unicast, C::Stationary, C::Systolic, C::Multicast,
+                         C::Broadcast2D, C::MulticastStationary,
+                         C::SystolicMulticast}));
+  EXPECT_EQ(outputClasses, (std::set<C>{C::Unicast, C::Stationary,
+                                        C::Systolic, C::Multicast}));
 }
 
 }  // namespace
